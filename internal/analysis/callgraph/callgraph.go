@@ -48,8 +48,8 @@ import (
 const Version = 1
 
 // Atom is one interprocedurally-relevant site inside a function: a
-// potential heap allocation (Analyzer "hotalloc") or a lane-unsafe
-// operation (Analyzer "laneescape"). Atoms waived with //hwdp:ignore at
+// potential heap allocation (Analyzer "hotalloc") or an operation on
+// state shared between concurrent simulations (Analyzer "laneescape"). Atoms waived with //hwdp:ignore at
 // their own line never enter the summary.
 type Atom struct {
 	// Analyzer names the check the atom feeds ("hotalloc" or
@@ -91,8 +91,8 @@ type FuncFacts struct {
 	// Hot marks a //hwdp:hotpath root for the hotalloc analyzer.
 	Hot bool `json:",omitempty"`
 	// Cold holds the //hwdp:coldpath reason; hotalloc stops descending
-	// into cold functions (laneescape does not: cold code still runs on
-	// the lane).
+	// into cold functions (laneescape does not: cold code still runs
+	// concurrently with other simulations).
 	Cold string `json:",omitempty"`
 }
 

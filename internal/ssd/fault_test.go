@@ -13,7 +13,7 @@ func submitRead(t *testing.T, dev *Device, qp *nvme.QueuePair, cid uint16, lba u
 	if err := qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}); err != nil {
 		t.Fatal(err)
 	}
-	dev.RingSQDoorbell(qp.ID)
+	ring(dev, qp)
 }
 
 func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
@@ -66,7 +66,7 @@ func TestInjectedUECCOnWriteIsWriteFault(t *testing.T) {
 	if err := qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}); err != nil {
 		t.Fatal(err)
 	}
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusWriteFault {
 		t.Fatalf("completions: %+v", *done)
@@ -111,6 +111,7 @@ func TestInjectedSpikeMultipliesLatency(t *testing.T) {
 func TestAbortCancelsPendingCommand(t *testing.T) {
 	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
 	submitRead(t, dev, qp, 7, 0)
+	eng.RunUntil(0) // the command crosses the zero-latency doorbell wire
 	if dev.Inflight() != 1 {
 		t.Fatalf("inflight = %d", dev.Inflight())
 	}
@@ -172,7 +173,8 @@ func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
 	if err := qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}); err != nil {
 		t.Fatal(err)
 	}
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
+	eng.RunUntil(0)
 	if !dev.Abort(1, 1) {
 		t.Fatal("abort failed")
 	}

@@ -14,8 +14,20 @@ func newDev(t *testing.T, prof Profile, dma DMAFunc) (*sim.Engine, *Device, *nvm
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 20})
 	qp := nvme.NewQueuePair(1, 64)
 	var done []nvme.Completion
-	dev.Attach(qp, func(cp nvme.Completion) { done = append(done, cp) })
+	dev.Attach(qp, 0, func(cp nvme.Completion) { done = append(done, cp) })
 	return eng, dev, qp, &done
+}
+
+// ring pops every pending submission and delivers it over a zero-latency
+// doorbell wire.
+func ring(dev *Device, qp *nvme.QueuePair) {
+	for {
+		cmd, ok := qp.PopSQ()
+		if !ok {
+			return
+		}
+		dev.Deliver(qp.ID, cmd, 0)
+	}
 }
 
 func noJitter(p Profile) Profile { p.JitterFrac = 0; return p }
@@ -25,7 +37,7 @@ func TestSingleReadLatency(t *testing.T) {
 	if err := qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}); err != nil {
 		t.Fatal(err)
 	}
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
@@ -60,7 +72,7 @@ func TestChannelParallelism(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)})
 	}
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 8 {
 		t.Fatalf("done = %d", len(*done))
@@ -76,7 +88,7 @@ func TestSameChannelSerializes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)})
 	}
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 4 {
 		t.Fatalf("done = %d", len(*done))
@@ -93,11 +105,11 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 	eng, dev, qp, _ := newDev(t, noJitter(ZSSD), nil)
 	// Launch a write, then while it is in flight, a read on the same channel.
 	_ = qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	var readDone sim.Time
 	eng.After(sim.Micro(1), func() {
 		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)})
-		dev.RingSQDoorbell(1)
+		ring(dev, qp)
 	})
 	eng.Run()
 	readDone = eng.Now()
@@ -112,10 +124,10 @@ func TestUrgentReadSkipsInterference(t *testing.T) {
 	run := func(urgent bool) sim.Time {
 		eng, dev, qp, _ := newDev(t, noJitter(ZSSD), nil)
 		_ = qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
-		dev.RingSQDoorbell(1)
+		ring(dev, qp)
 		eng.After(sim.Micro(1), func() {
 			_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent})
-			dev.RingSQDoorbell(1)
+			ring(dev, qp)
 		})
 		eng.Run()
 		return eng.Now()
@@ -128,7 +140,7 @@ func TestUrgentReadSkipsInterference(t *testing.T) {
 func TestInvalidNamespace(t *testing.T) {
 	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
 	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 42, SLBA: 0})
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusInvalidNS {
 		t.Fatalf("completions: %+v", *done)
@@ -138,7 +150,7 @@ func TestInvalidNamespace(t *testing.T) {
 func TestLBARangeError(t *testing.T) {
 	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
 	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20})
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if (*done)[0].Status != nvme.StatusLBARange {
 		t.Fatalf("status = %#x", (*done)[0].Status)
@@ -149,7 +161,7 @@ func TestDMACallbackRuns(t *testing.T) {
 	var got []nvme.Command
 	eng, dev, qp, _ := newDev(t, noJitter(ZSSD), func(c nvme.Command) { got = append(got, c) })
 	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000})
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(got) != 1 || got[0].SLBA != 77 || got[0].PRP1 != 0x1000 {
 		t.Fatalf("dma calls: %+v", got)
@@ -159,7 +171,7 @@ func TestDMACallbackRuns(t *testing.T) {
 func TestFlush(t *testing.T) {
 	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
 	_ = qp.Submit(nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1})
-	dev.RingSQDoorbell(1)
+	ring(dev, qp)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatal("flush failed")
@@ -173,13 +185,13 @@ func TestDoubleAttachPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := New(eng, ZSSD, sim.NewRand(1), nil)
 	qp := nvme.NewQueuePair(1, 4)
-	dev.Attach(qp, nil)
+	dev.Attach(qp, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.Attach(qp, nil)
+	dev.Attach(qp, 0, nil)
 }
 
 func TestUnattachedDoorbellPanics(t *testing.T) {
@@ -190,7 +202,7 @@ func TestUnattachedDoorbellPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.RingSQDoorbell(5)
+	dev.Deliver(5, nvme.Command{Opcode: nvme.OpRead, NSID: 1}, 0)
 }
 
 func TestJitterBounded(t *testing.T) {
