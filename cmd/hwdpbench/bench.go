@@ -13,7 +13,9 @@ import (
 
 	"hwdp/internal/core"
 	"hwdp/internal/fleet"
+	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
+	"hwdp/internal/kvs"
 	"hwdp/internal/mem"
 	"hwdp/internal/nvme"
 	"hwdp/internal/pagetable"
@@ -125,6 +127,8 @@ func runBench(short bool, outPath string) (string, error) {
 
 	add("engine_schedule_fire_post", benchEnginePost(), 0)
 	add("engine_schedule_fire_handle", benchEngineHandle(), 0)
+	add("kvs_record_validate", benchRecordValidate(), 0)
+	add("fs_page_fill", benchPageFill(), 0)
 	r, eps := benchMissPath()
 	add("miss_path", r, eps)
 	r, eps = benchFigureSweep(short)
@@ -188,6 +192,37 @@ func benchEngineHandle() testing.BenchmarkResult {
 			}
 		}
 		e.Run()
+	})
+}
+
+// benchRecordValidate measures verifying one 4 KiB kvs record, which every
+// kvs read through the simulated mmap path does once.
+func benchRecordValidate() testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		buf := make([]byte, kvs.RecordSize)
+		kvs.EncodeRecord(buf, 42, 7)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := kvs.ValidateRecord(buf, 42); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchPageFill measures generating one 4 KiB page of a seeded raw file,
+// which the device does for every read of an unwritten block of an FIO
+// file.
+func benchPageFill() testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		buf := make([]byte, fs.PageBytes)
+		fill := fs.SeededInit(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fill(i, buf)
+		}
 	})
 }
 

@@ -181,6 +181,32 @@ func TestTenantConservation(t *testing.T) {
 	}
 }
 
+// TestStarvedRetryIsNotBadAddr is the regression for free-page
+// starvation at 16 MiB: a re-walk after the kernel resolved a fault can
+// take a hardware miss that the SMU bounces for want of a free page. That
+// bounce must go back to the OS fault path; only a missing mapping may
+// fail the access. The old code failed two accesses of this run.
+func TestStarvedRetryIsNotBadAddr(t *testing.T) {
+	c := DefaultConfig()
+	c.MemoryMB = 16
+	c.Seed = 3
+	c.Duration = 350 * sim.Millisecond
+	e, err := newExperiment(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.run()
+	if res.Errors != 0 {
+		t.Fatalf("%d failed accesses under free-page starvation, want 0", res.Errors)
+	}
+	if st := e.sys.MMU.Stats(); st.HWBounced == 0 {
+		t.Fatal("no hardware miss bounced: the run no longer starves the free page queue")
+	}
+	if kills := e.sys.K.Stats().SIGBUSKills; kills != 0 {
+		t.Fatalf("%d threads killed in a fault-free run", kills)
+	}
+}
+
 // TestLadderRenders smoke-checks the full ladder report plumbing: every
 // unit runs, the manifest summarizes every tenant row, and the comparison
 // figure has one line per skew.

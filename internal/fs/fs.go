@@ -12,6 +12,7 @@
 package fs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -37,17 +38,26 @@ func ZeroInit(page int, buf []byte) {
 // SeededInit returns an initializer generating pseudorandom page contents
 // from a seed; used by FIO-style raw files.
 func SeededInit(seed uint64) Initializer {
-	return func(page int, buf []byte) {
-		s := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
-		for i := 0; i < len(buf); i += 8 {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			v := s
-			for j := 0; j < 8 && i+j < len(buf); j++ {
-				buf[i+j] = byte(v)
-				v >>= 8
-			}
+	// The fill is a named function, not the closure's body: where a caller
+	// inlines SeededInit, the copy of the closure the compiler makes keeps
+	// PutUint64 out of line (go1.24), which doubles the fill's cost.
+	return func(page int, buf []byte) { seededFill(seed, page, buf) }
+}
+
+func seededFill(seed uint64, page int, buf []byte) {
+	s := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
+	for i := 0; i < len(buf); i += 8 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		if i+8 <= len(buf) {
+			binary.LittleEndian.PutUint64(buf[i:], s)
+			continue
+		}
+		// A partial last word keeps its low-order bytes.
+		for v := s; i < len(buf); i++ {
+			buf[i] = byte(v)
+			v >>= 8
 		}
 	}
 }
@@ -241,11 +251,15 @@ func (s *FS) WriteBlock(lba uint64, data []byte) error {
 			if err != nil {
 				return err
 			}
-			cp := make([]byte, PageBytes)
-			copy(cp, data)
+			// The old block's buffer moves with the data to the new block.
+			buf := s.overrides[lba]
+			if buf == nil {
+				buf = make([]byte, PageBytes)
+			}
+			copy(buf, data)
 			delete(s.overrides, lba)
 			delete(s.byLBA, lba)
-			s.overrides[newLBA] = cp
+			s.overrides[newLBA] = buf
 			ref.file.pages[ref.page] = newLBA
 			s.byLBA[newLBA] = ref
 			s.remaps++
@@ -257,9 +271,12 @@ func (s *FS) WriteBlock(lba uint64, data []byte) error {
 		}
 		// Write to an unmapped block (trimmed): store in place.
 	}
-	cp := make([]byte, PageBytes)
-	copy(cp, data)
-	s.overrides[lba] = cp
+	buf := s.overrides[lba]
+	if buf == nil {
+		buf = make([]byte, PageBytes)
+		s.overrides[lba] = buf
+	}
+	copy(buf, data)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package fs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -133,6 +135,54 @@ func TestWriteBlockCopiesData(t *testing.T) {
 	_ = s.ReadBlock(5, got)
 	if got[0] != 1 {
 		t.Fatal("WriteBlock aliased caller buffer")
+	}
+}
+
+// TestWriteBlockOverwriteAllocFree pins the steady-state write of an LBA
+// that already holds written data at zero allocations: the block's buffer
+// is reused, and a read returns the latest write.
+func TestWriteBlockOverwriteAllocFree(t *testing.T) {
+	s := New(0, 0, 1, 100)
+	f, _ := s.Create("raw", 2, SeededInit(1))
+	b, _ := s.Block(f, 1)
+	data := make([]byte, PageBytes)
+	if err := s.WriteBlock(b.LBA, data); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	n := testing.AllocsPerRun(100, func() {
+		data[0]++
+		err = s.WriteBlock(b.LBA, data)
+	})
+	if n != 0 || err != nil {
+		t.Fatalf("WriteBlock over an override: %v allocs/op (err %v), want 0", n, err)
+	}
+	got := make([]byte, PageBytes)
+	_ = s.ReadBlock(b.LBA, got)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read back byte 0 = %d, want the latest write %d", got[0], data[0])
+	}
+}
+
+// TestSeededInitPinned pins the bytes SeededInit generates: the SHA-256 was
+// taken from the byte-at-a-time generator the word fill replaced. The odd
+// 13-byte buffer covers the partial last word.
+func TestSeededInitPinned(t *testing.T) {
+	const want = "b41040e1a4d595dfc1a4eb1c7022e1f8a0175d58cb32280574ed352bc709ee23"
+	h := sha256.New()
+	for _, seed := range []uint64{1, 0xdead} {
+		init := SeededInit(seed)
+		for _, page := range []int{0, 1, 2, 7, 4095, 1 << 20} {
+			buf := make([]byte, PageBytes)
+			init(page, buf)
+			h.Write(buf)
+		}
+		odd := make([]byte, 13)
+		init(3, odd)
+		h.Write(odd)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("SeededInit SHA-256 = %s, want %s", got, want)
 	}
 }
 
@@ -286,6 +336,21 @@ func TestRemapOnWriteMovesBlocks(t *testing.T) {
 	}
 	if s.Remaps() != 1 || s.Writes() != 1 {
 		t.Fatalf("remaps=%d writes=%d", s.Remaps(), s.Writes())
+	}
+	// A second write moves the written block's buffer along: the block
+	// it left reads as trimmed, and the newest block holds the new data.
+	data[0] = 0x6B
+	if err := s.WriteBlock(now.LBA, data); err != nil {
+		t.Fatal(err)
+	}
+	newest, _ := s.Block(f, 2)
+	_ = s.ReadBlock(newest.LBA, buf)
+	if newest.LBA == now.LBA || buf[0] != 0x6B {
+		t.Fatalf("second LFS write: block %d -> %d, byte 0 = %#x", now.LBA, newest.LBA, buf[0])
+	}
+	_ = s.ReadBlock(now.LBA, buf)
+	if buf[0] != 0 {
+		t.Fatal("block left by the second write still live")
 	}
 }
 

@@ -6,16 +6,16 @@ func BenchmarkRecordEncode(b *testing.B) {
 	buf := make([]byte, RecordSize)
 	b.SetBytes(RecordSize)
 	for i := 0; i < b.N; i++ {
-		encodeRecord(buf, uint64(i), 1)
+		EncodeRecord(buf, uint64(i), 1)
 	}
 }
 
 func BenchmarkRecordValidate(b *testing.B) {
 	buf := make([]byte, RecordSize)
-	encodeRecord(buf, 42, 7)
+	EncodeRecord(buf, 42, 7)
 	b.SetBytes(RecordSize)
 	for i := 0; i < b.N; i++ {
-		if _, err := validateRecord(buf, 42); err != nil {
+		if _, err := ValidateRecord(buf, 42); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,15 +26,15 @@ func BenchmarkRecordValidate(b *testing.B) {
 // and fails under any other key.
 func TestRecordEncodeValidateRoundTrip(t *testing.T) {
 	buf := make([]byte, RecordSize)
-	encodeRecord(buf, 42, 7)
-	v, err := validateRecord(buf, 42)
+	EncodeRecord(buf, 42, 7)
+	v, err := ValidateRecord(buf, 42)
 	if err != nil {
 		t.Fatalf("validate(42) failed: %v", err)
 	}
 	if v != 7 {
 		t.Fatalf("version = %d, want 7", v)
 	}
-	if _, err := validateRecord(buf, 43); err == nil {
+	if _, err := ValidateRecord(buf, 43); err == nil {
 		t.Fatal("record for key 42 validated under key 43")
 	}
 }

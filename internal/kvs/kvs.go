@@ -4,15 +4,17 @@
 // memory-mapped I/O path — exactly the deployment the paper targets with
 // fast file mmap(): every cold Get is a demand-paging miss.
 //
-// Records are self-validating (key echo + FNV checksum over the payload),
-// so every read through the full MMU → SMU/fault-handler → NVMe → DMA
-// pipeline proves end-to-end data integrity, not just timing.
+// Records are self-validating: a read checks the key echo and the header
+// check word, and verifies the payload by regenerating it from (key,
+// version). Every read through the full MMU → SMU/fault-handler → NVMe →
+// DMA pipeline so proves end-to-end data integrity, not just timing.
 package kvs
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
@@ -35,44 +37,63 @@ var ErrCorrupt = errors.New("kvs: corrupt record")
 // ErrBadKey reports an out-of-range key.
 var ErrBadKey = errors.New("kvs: key out of range")
 
-func fnv64(bs ...[]byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range bs {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
-	return h
+// payloadSeed is the first state of the payload's xorshift stream.
+func payloadSeed(key, version uint64) uint64 {
+	return key*0x9e3779b97f4a7c15 + version*1099511628211 + 1
 }
 
-// encodeRecord writes a record for key with the given version into buf.
-// The payload is a deterministic function of (key, version), so any reader
-// can re-derive and verify it.
-func encodeRecord(buf []byte, key, version uint64) {
-	payload := buf[headerSize:]
-	s := key*0x9e3779b97f4a7c15 + version*1099511628211 + 1
+// headerCheck is the header's check word, a mix of (key, version) that is
+// one-to-one in version for a fixed key. A flip in the version field
+// changes it, and a flip in the check field no longer matches it; the key
+// field is checked against the key asked for.
+func headerCheck(key, version uint64) uint64 {
+	h := (key ^ bits.RotateLeft64(version, 32)) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// xorshift advances the payload stream by one word.
+func xorshift(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// EncodeRecord writes a record for key with the given version into buf
+// (at least RecordSize bytes). The payload is a deterministic function of
+// (key, version), so any reader can re-derive and verify it.
+func EncodeRecord(buf []byte, key, version uint64) {
+	payload := buf[headerSize:RecordSize]
+	s := payloadSeed(key, version)
 	for i := 0; i < len(payload); i += 8 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
+		s = xorshift(s)
 		binary.LittleEndian.PutUint64(payload[i:], s)
 	}
 	binary.LittleEndian.PutUint64(buf[0:], key)
 	binary.LittleEndian.PutUint64(buf[8:], version)
-	binary.LittleEndian.PutUint64(buf[16:], fnv64(buf[0:16], payload))
+	binary.LittleEndian.PutUint64(buf[16:], headerCheck(key, version))
 }
 
-// validateRecord checks key echo and checksum, returning the version.
-func validateRecord(buf []byte, key uint64) (version uint64, err error) {
+// ValidateRecord checks that buf holds an intact record for key: the key
+// echo and the header check word, then the payload word by word against
+// the stream (key, version) regenerates. It returns the record's version,
+// or an error wrapping ErrCorrupt.
+func ValidateRecord(buf []byte, key uint64) (version uint64, err error) {
 	gotKey := binary.LittleEndian.Uint64(buf[0:])
 	version = binary.LittleEndian.Uint64(buf[8:])
-	sum := binary.LittleEndian.Uint64(buf[16:])
 	if gotKey != key {
 		return 0, fmt.Errorf("%w: key %d read %d", ErrCorrupt, key, gotKey)
 	}
-	if want := fnv64(buf[0:16], buf[headerSize:]); sum != want {
-		return 0, fmt.Errorf("%w: checksum mismatch for key %d", ErrCorrupt, key)
+	if binary.LittleEndian.Uint64(buf[16:]) != headerCheck(key, version) {
+		return 0, fmt.Errorf("%w: header check mismatch for key %d", ErrCorrupt, key)
+	}
+	payload := buf[headerSize:RecordSize]
+	s := payloadSeed(key, version)
+	for i := 0; i < len(payload); i += 8 {
+		s = xorshift(s)
+		if binary.LittleEndian.Uint64(payload[i:]) != s {
+			return 0, fmt.Errorf("%w: payload mismatch for key %d at byte %d", ErrCorrupt, key, headerSize+i)
+		}
 	}
 	return version, nil
 }
@@ -101,7 +122,7 @@ type Store struct {
 func Create(k *kernel.Kernel, fsys *fs.FS, p *kernel.Process, name string,
 	keys uint64, sid, devID uint8, flags kernel.MmapFlags) (*Store, error) {
 	f, err := fsys.Create(name, int(keys), func(page int, buf []byte) {
-		encodeRecord(buf, uint64(page), 0)
+		EncodeRecord(buf, uint64(page), 0)
 	})
 	if err != nil {
 		return nil, err
@@ -145,7 +166,7 @@ func (s *Store) Get(th *kernel.Thread, key uint64, buf []byte, done func(version
 			done(0, fmt.Errorf("kvs: unmapped record %d", key))
 			return
 		}
-		v, err := validateRecord(buf, key)
+		v, err := ValidateRecord(buf, key)
 		done(v, err)
 	})
 }
@@ -161,7 +182,7 @@ func (s *Store) Put(th *kernel.Thread, key, version uint64, buf []byte, done fun
 	page := s.walHead
 	s.walHead = (s.walHead + 1) % s.walLen
 	s.k.WriteRaw(th, s.walSID, s.walDev, s.wal, page, func() {
-		encodeRecord(buf[:RecordSize], key, version)
+		EncodeRecord(buf[:RecordSize], key, version)
 		s.k.Store(th, s.addr(key), buf[:RecordSize], func(r mmu.Result) {
 			if r.Outcome == mmu.OutcomeBadAddr {
 				done(fmt.Errorf("kvs: unmapped record %d", key))

@@ -1,8 +1,9 @@
 // Package mem models the machine's physical memory: a page-frame allocator
-// plus lazily materialized frame contents. Only resident frames hold a real
-// 4 KiB buffer, so a simulated 256 MiB machine costs at most 256 MiB of host
-// memory and usually far less (frames written by the device are materialized
-// on first touch).
+// plus lazily materialized frame contents. A frame gets its real 4 KiB
+// buffer on first touch, so a simulated 256 MiB machine costs at most
+// 256 MiB of host memory and less when part of it is never used. Free keeps
+// the buffer and zeroes it, so a frame that is freed and allocated again
+// reuses its buffer instead of allocating a new one.
 package mem
 
 import (
@@ -31,7 +32,8 @@ type Memory struct {
 	frames    uint64
 	freeList  []FrameID
 	allocated []bool
-	data      map[FrameID][]byte
+	data      [][]byte // indexed by FrameID; nil until first touch
+	buffers   int      // non-nil entries of data
 
 	allocs uint64
 	frees  uint64
@@ -49,7 +51,7 @@ func New(bytes uint64) *Memory {
 		frames:    n,
 		freeList:  make([]FrameID, 0, n),
 		allocated: make([]bool, n),
-		data:      make(map[FrameID][]byte),
+		data:      make([][]byte, n),
 	}
 	// Push in reverse so low frames are handed out first (deterministic
 	// and matches how a fresh kernel consumes its memory map).
@@ -101,13 +103,14 @@ func (m *Memory) AllocN(n int) []FrameID {
 	return out
 }
 
-// Free returns a frame to the allocator and drops its contents.
+// Free returns a frame to the allocator and zeroes its contents. The
+// buffer stays with the frame for its next allocation.
 func (m *Memory) Free(f FrameID) error {
 	if uint64(f) >= m.frames || !m.allocated[f] {
 		return fmt.Errorf("%w: free of %d", ErrBadFrame, f)
 	}
 	m.allocated[f] = false
-	delete(m.data, f)
+	clear(m.data[f])
 	m.freeList = append(m.freeList, f)
 	m.frees++
 	return nil
@@ -124,10 +127,11 @@ func (m *Memory) Data(f FrameID) ([]byte, error) {
 	if !m.Allocated(f) {
 		return nil, fmt.Errorf("%w: data of %d", ErrBadFrame, f)
 	}
-	b, ok := m.data[f]
-	if !ok {
+	b := m.data[f]
+	if b == nil {
 		b = make([]byte, PageSize)
 		m.data[f] = b
+		m.buffers++
 	}
 	return b, nil
 }
@@ -143,6 +147,7 @@ func (m *Memory) Fill(f FrameID, gen func(buf []byte)) error {
 	return nil
 }
 
-// ResidentBuffers returns how many frames have materialized contents
-// (a host-memory usage metric, not a simulation quantity).
-func (m *Memory) ResidentBuffers() int { return len(m.data) }
+// ResidentBuffers returns how many frames have ever materialized a buffer,
+// at most Frames() (a host-memory usage metric, not a simulation quantity).
+// Freed frames keep their buffers, so the count never falls.
+func (m *Memory) ResidentBuffers() int { return m.buffers }

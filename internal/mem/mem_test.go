@@ -103,6 +103,50 @@ func TestDataLazyMaterialization(t *testing.T) {
 	if b2[0] != 0xAB {
 		t.Fatal("data not persistent")
 	}
+	// A freed frame keeps its buffer: the count is of buffers ever
+	// materialized, never above Frames().
+	_ = m.Free(f)
+	if m.ResidentBuffers() != 1 {
+		t.Fatalf("after free: %d buffers, want 1", m.ResidentBuffers())
+	}
+	for i := 0; i < int(m.Frames()); i++ {
+		g, _ := m.Alloc()
+		_, _ = m.Data(g)
+	}
+	if m.ResidentBuffers() != int(m.Frames()) {
+		t.Fatalf("all touched: %d buffers, want %d", m.ResidentBuffers(), m.Frames())
+	}
+}
+
+// TestRefillAllocFree pins the recycle path at zero allocations: Free,
+// Alloc and Data on a frame that already has a buffer reuse it, and the
+// page reads back all zeros.
+func TestRefillAllocFree(t *testing.T) {
+	m := New(2 * PageSize)
+	f, _ := m.Alloc()
+	_ = m.Fill(f, func(b []byte) {
+		for i := range b {
+			b[i] = 0xFF
+		}
+	})
+	var b []byte
+	n := testing.AllocsPerRun(100, func() {
+		_ = m.Free(f)
+		f, _ = m.Alloc()
+		b, _ = m.Data(f)
+		b[PageSize-1] = 0xFF
+	})
+	if n != 0 {
+		t.Fatalf("Free+Alloc+Data: %v allocs/op, want 0", n)
+	}
+	_ = m.Free(f)
+	f, _ = m.Alloc()
+	b, _ = m.Data(f)
+	for i, c := range b {
+		if c != 0 {
+			t.Fatalf("byte %d = %#x after free and realloc, want 0", i, c)
+		}
+	}
 }
 
 func TestDataOfUnallocated(t *testing.T) {

@@ -444,7 +444,11 @@ func prefetchDone(arg any, res smu.Result, _ pagetable.Entry) {
 
 //hwdp:coldpath OS exception path: conventional faults and HW-miss bounces, not the steady-state hardware miss path
 func (m *MMU) raiseOS(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, done func(Result), retried bool, t0 sim.Time, core int, ms *trace.Miss) {
-	if m.osFault == nil || retried {
+	// Only a mapping still missing after the kernel ran is fatal. A retry
+	// that the SMU bounced (its free page queue ran dry again before the
+	// re-walk) raises the exception once more, as the CPU re-running the
+	// instruction would.
+	if m.osFault == nil || retried && !hwFailed {
 		ms.Finish(m.eng.Now())
 		done(Result{Outcome: OutcomeBadAddr})
 		return
@@ -456,10 +460,10 @@ func (m *MMU) raiseOS(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFa
 		ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", t0, m.eng.Now())
 	}
 	m.osFault(ctx, as, va, write, hwFailed, ms, func() {
-		// Re-walk once the kernel resolved the fault; a second failure is
-		// fatal for the access (the kernel would deliver SIGSEGV). The
-		// overall access is reported as an OS fault regardless of how the
-		// retry hits.
+		// Re-walk once the kernel resolved the fault; a mapping still
+		// missing is fatal for the access (the kernel would deliver
+		// SIGSEGV). The overall access is reported as an OS fault
+		// regardless of how the retry hits.
 		m.walk(ctx, as, va, write, func(r Result) {
 			if r.Outcome == OutcomeWalkHit || r.Outcome == OutcomeHW {
 				r.Outcome = OutcomeOSFault
