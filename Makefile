@@ -40,11 +40,11 @@ sweep-check:
 # chaos-short runs the bounded chaos-pressure campaign under the race
 # detector: oversubscription scenarios with fault storms, audited by the
 # invariant watchdog; every scenario must finish with zero violations
-# and zero leaked frames. CAMPAIGN_hwdp.json records the per-scenario
-# degradation report and is uploaded as a CI artifact. See
-# docs/PRESSURE.md.
+# and zero leaked frames. The run's sweep manifest, written as
+# CAMPAIGN_hwdp.json, records each scenario's degradation report and is
+# uploaded as a CI artifact. See docs/PRESSURE.md.
 chaos-short:
-	$(GO) run -race ./cmd/hwdpbench -pressure -quick -no-cache -sweep-out CAMPAIGN_sweep.json
+	$(GO) run -race ./cmd/hwdpbench -pressure -quick -no-cache -sweep-out CAMPAIGN_hwdp.json
 
 # ssd-check runs the modeled-SSD battery: the FTL/GC conservation
 # property tests and checked-in fuzz seed corpora, the pinned
@@ -60,12 +60,13 @@ ssd-check:
 # conservation property (under QoS on and off and fault storms), the
 # noisy-neighbor isolation acceptance (victim p99.9 improves >= 2x with
 # QoS on), and the -j byte-equivalence pin — plain and under the
-# race detector, then regenerates the CI-sized fleet figure so
-# FLEET_hwdp.json is always a fresh artifact. See docs/FLEET.md.
+# race detector, then regenerates the CI-sized fleet figure so its sweep
+# manifest, FLEET_hwdp.json, is always a fresh artifact. See
+# docs/FLEET.md.
 fleet-check:
 	$(GO) test ./internal/fleet/
 	$(GO) test -race ./internal/fleet/
-	$(GO) run ./cmd/hwdpbench -fleet -quick -no-cache -sweep-out FLEET_sweep.json
+	$(GO) run ./cmd/hwdpbench -fleet -quick -no-cache -sweep-out FLEET_hwdp.json
 
 fmt:
 	gofmt -w .

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,11 +55,8 @@ type benchBaseline struct {
 
 // benchReport is the BENCH_hwdp.json schema.
 type benchReport struct {
-	Schema    int    `json:"schema"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	Short     bool   `json:"short"`
+	sweep.Header
+	Short bool `json:"short"`
 	// GOMAXPROCS bounds the garbage collector's parallelism, which every
 	// row's ns/op depends on, so the report records it.
 	GOMAXPROCS int                      `json:"gomaxprocs"`
@@ -89,7 +84,10 @@ func benchUnit(short bool, outPath string) sweep.Unit {
 		Kind:        "bench",
 		Fingerprint: fmt.Sprintf("short=%v out=%s", short, outPath),
 		Uncacheable: true,
-		Run:         func() (string, error) { return runBench(short, outPath) },
+		Run: func() (string, any, error) {
+			out, err := runBench(short, outPath)
+			return out, nil, err
+		},
 	}
 }
 
@@ -99,10 +97,7 @@ func benchUnit(short bool, outPath string) sweep.Unit {
 func runBench(short bool, outPath string) (string, error) {
 	var sb strings.Builder
 	rep := benchReport{
-		Schema:     2,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
+		Header:     sweep.HostHeader(2),
 		Short:      short,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Baseline:   baselines,
@@ -147,12 +142,7 @@ func runBench(short bool, outPath string) (string, error) {
 			base.AllocsPerOp, b.AllocsPerOp, rep.MissPathAllocsReductionPct)
 	}
 
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
+	if err := sweep.WriteJSON(outPath, &rep); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&sb, "wrote %s\n", outPath)
@@ -322,7 +312,10 @@ func benchFigureSweep(short bool) (testing.BenchmarkResult, float64) {
 			cfg.MemoryBytes = memBytes
 			cfg.Seed = 1
 			cfg.FSBlocks = filePages + (1 << 16)
-			sys := cfg.Build()
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			fio, err := workload.SetupFIO(sys, "fio.dat", filePages, sys.FastFlags())
 			if err != nil {
 				b.Fatal(err)

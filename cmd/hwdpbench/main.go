@@ -2,8 +2,9 @@
 // simulated machine. Runs are decomposed into named units and executed by
 // the internal/sweep scheduler: a bounded worker pool (figure text stays
 // byte-identical to a sequential run at any -j), a content-addressed
-// result cache, per-run panic/timeout isolation, and a machine-readable
-// manifest (SWEEP_hwdp.json) for CI.
+// result cache, per-run panic/timeout isolation, and one machine-readable
+// manifest per run (SWEEP_hwdp.json, or the -sweep-out path) for CI that
+// also records the typed campaign and fleet results.
 //
 // Usage:
 //
@@ -26,15 +27,10 @@
 //	hwdpbench -bench            # fixed-seed benchmark suite -> BENCH_hwdp.json
 //	hwdpbench -bench -quick     # short variant (CI smoke)
 //	hwdpbench -bench-out f.json # report path (default BENCH_hwdp.json)
-//	hwdpbench -pressure         # chaos-pressure campaign -> CAMPAIGN_hwdp.json
+//	hwdpbench -pressure         # chaos-pressure campaign (results in the sweep manifest)
 //	hwdpbench -pressure -quick  # bounded variant (CI smoke)
-//	hwdpbench -campaign-out f   # campaign manifest path (default CAMPAIGN_hwdp.json)
-//	hwdpbench -fleet            # multi-tenant fleet sweep -> FLEET_hwdp.json
+//	hwdpbench -fleet            # multi-tenant fleet sweep (results in the sweep manifest)
 //	hwdpbench -fleet -quick     # CI-sized variant (one skew, both modes)
-//	hwdpbench -fig fleet        # alias for -fleet
-//	hwdpbench -tenants 5        # override the fleet sweep's tenant count
-//	hwdpbench -qos ladder       # fleet admission: ladder (off+on), on, off
-//	hwdpbench -fleet-out f.json # fleet manifest path (default FLEET_hwdp.json)
 //
 // Unit results (figure/table text) stream to stdout in deterministic
 // order; progress, ETA and failure records go to stderr. A unit that
@@ -80,19 +76,9 @@ func main() {
 	tracePath := flag.String("trace", "", "write the traced sweep as Chrome trace_event JSON to this file")
 	bench := flag.Bool("bench", false, "run the fixed-seed benchmark suite and write a JSON report")
 	benchOut := flag.String("bench-out", "BENCH_hwdp.json", "benchmark report path for -bench")
-	pressure := flag.Bool("pressure", false, "run the chaos-pressure campaign (oversubscription under fault storms) and write a JSON manifest")
-	campaignOut := flag.String("campaign-out", "CAMPAIGN_hwdp.json", "campaign manifest path for -pressure")
-	fleetRun := flag.Bool("fleet", false, "run the multi-tenant fleet sweep (noisy-neighbor isolation ladder, docs/FLEET.md) and write a JSON manifest")
-	tenants := flag.Int("tenants", 0, "override the fleet sweep's tenant count (0 keeps the default)")
-	qosMode := flag.String("qos", "ladder", "fleet admission modes to run: ladder (off and on), on, or off")
-	fleetOut := flag.String("fleet-out", "FLEET_hwdp.json", "fleet manifest path for -fleet")
+	pressure := flag.Bool("pressure", false, "run the chaos-pressure campaign (oversubscription under fault storms), recording each scenario's result in the sweep manifest")
+	fleetRun := flag.Bool("fleet", false, "run the multi-tenant fleet sweep (noisy-neighbor isolation ladder, docs/FLEET.md), recording each experiment's result in the sweep manifest")
 	flag.Parse()
-	if *fig == "fleet" {
-		// -fig fleet is sugar for -fleet: the fleet sweep is a figure
-		// family, but its units come from internal/fleet, not figures.
-		*fleetRun = true
-		*fig = ""
-	}
 
 	p := figures.Default()
 	if *quick {
@@ -128,45 +114,20 @@ func main() {
 	if *bench {
 		sel = append(sel, benchUnit(*quick, *benchOut))
 	}
-	var campaignResults []campaign.Result
+	scenarios := 0
 	if *pressure {
 		scs := campaign.DefaultScenarios(*quick)
-		cunits, cres := campaign.Units(scs)
-		sel = append(sel, cunits...)
-		campaignResults = cres
+		sel = append(sel, campaignUnits(scs)...)
+		scenarios = len(scs)
 	}
-	var fleetResults []fleet.Result
+	experiments := 0
 	if *fleetRun {
 		cfgs := fleet.Ladder(*seed)
 		if *quick {
 			cfgs = fleet.QuickLadder(*seed)
 		}
-		kept := cfgs[:0]
-		for _, c := range cfgs {
-			if *tenants > 0 {
-				c.Tenants = *tenants
-			}
-			switch *qosMode {
-			case "ladder":
-			case "on":
-				if !c.QoS {
-					continue
-				}
-			case "off":
-				if c.QoS {
-					continue
-				}
-			default:
-				fatal(fmt.Errorf("unknown -qos mode %q (want ladder, on or off)", *qosMode))
-			}
-			if err := c.Validate(); err != nil {
-				fatal(err)
-			}
-			kept = append(kept, c)
-		}
-		funits, fres := fleet.Units(kept)
-		sel = append(sel, funits...)
-		fleetResults = fres
+		sel = append(sel, fleetUnits(cfgs)...)
+		experiments = len(cfgs)
 	}
 	switch {
 	case *all:
@@ -191,31 +152,29 @@ func main() {
 		}
 		sel = append(sel, u)
 	}
+	var results []sweep.Result
 	failed := 0
 	if len(sel) > 0 {
-		failed = runSweep(sel, *jobs, *noCache, *cacheDir, *runTimeout, *sweepOut)
+		results, failed = runSweep(sel, *jobs, *noCache, *cacheDir, *runTimeout, *sweepOut)
 		ran = true
 	}
+	// The comparison figures and summaries cover the ok runs only; a
+	// failed run's result (a dirty audit, say) is in the manifest.
 	if *pressure {
-		// The campaign manifest and the degradation figure are written even
-		// when scenarios failed their audit — a dirty manifest is exactly
-		// the artifact CI needs to diagnose the failure.
-		m := campaign.NewManifest(campaignResults)
-		if err := m.Write(*campaignOut); err != nil {
-			fatal(err)
-		}
-		fmt.Println(campaign.RenderComparison(campaignResults))
-		fmt.Fprintf(os.Stderr, "campaign: %d/%d scenarios clean (%d violations); manifest %s\n",
-			m.Clean, m.Scenarios, m.Violations, *campaignOut)
+		ok := sweep.Values[campaign.Result](results)
+		fmt.Println(campaign.RenderComparison(ok))
+		fmt.Fprintf(os.Stderr, "campaign: %d/%d scenarios clean\n", len(ok), scenarios)
 	}
 	if *fleetRun {
-		m := fleet.NewManifest(fleetResults)
-		if err := m.Write(*fleetOut); err != nil {
-			fatal(err)
+		ok := sweep.Values[fleet.Result](results)
+		met, rows := 0, 0
+		for _, r := range ok {
+			met += r.SLOMet
+			rows += len(r.Rows)
 		}
-		fmt.Println(fleet.RenderComparison(fleetResults))
-		fmt.Fprintf(os.Stderr, "fleet: %d experiments, %d/%d tenant rows met SLO; manifest %s\n",
-			m.Experiments, m.SLOMet, m.TenantRows, *fleetOut)
+		fmt.Println(fleet.RenderComparison(ok))
+		fmt.Fprintf(os.Stderr, "fleet: %d/%d experiments ok, %d/%d tenant rows met SLO\n",
+			len(ok), experiments, met, rows)
 	}
 	if failed > 0 {
 		os.Exit(1)
@@ -226,11 +185,52 @@ func main() {
 	}
 }
 
+// campaignUnits runs each scenario as an uncacheable sweep unit: a
+// campaign runs under chaos by design, and its typed result, which the
+// cache does not keep, feeds the comparison figure. A dirty audit fails
+// the unit and keeps its result for the manifest.
+func campaignUnits(scs []campaign.Scenario) []sweep.Unit {
+	units := make([]sweep.Unit, len(scs))
+	for i, sc := range scs {
+		units[i] = sweep.Unit{
+			Name: "campaign/" + sc.Name, Kind: "campaign",
+			Fingerprint: sc.Fingerprint(), Uncacheable: true,
+			Run: func() (string, any, error) {
+				r, err := campaign.Run(sc)
+				if err != nil {
+					return "", nil, err
+				}
+				return campaign.RenderResult(r), r, r.Audit()
+			},
+		}
+	}
+	return units
+}
+
+// fleetUnits runs each experiment as a sweep unit, uncacheable because
+// the comparison figure needs its typed result.
+func fleetUnits(cfgs []fleet.Config) []sweep.Unit {
+	units := make([]sweep.Unit, len(cfgs))
+	for i, c := range cfgs {
+		units[i] = sweep.Unit{
+			Name: c.Name, Kind: "fleet", Fingerprint: c.Fingerprint(), Uncacheable: true,
+			Run: func() (string, any, error) {
+				r, err := fleet.Run(c)
+				if err != nil {
+					return "", nil, err
+				}
+				return fleet.RenderResult(r), r, nil
+			},
+		}
+	}
+	return units
+}
+
 // runSweep executes the selected units on the scheduler, writes the
-// manifest, reports failures to stderr and returns the number of units
-// that did not complete (the caller decides the exit status, after any
-// post-sweep artifacts are written).
-func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTimeout time.Duration, sweepOut string) int {
+// manifest, reports failures to stderr and returns the results and the
+// number of units that did not complete (the caller decides the exit
+// status, after the comparison figures are printed).
+func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTimeout time.Duration, sweepOut string) ([]sweep.Result, int) {
 	var cache *sweep.Cache
 	if !noCache {
 		c, err := sweep.Open(cacheDir)
@@ -250,7 +250,7 @@ func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTime
 	})
 	wall := time.Since(start)
 	m := sweep.NewManifest(results, jobs, wall)
-	if err := m.Write(sweepOut); err != nil {
+	if err := sweep.WriteJSON(sweepOut, m); err != nil {
 		fatal(err)
 	}
 	for _, r := range results {
@@ -267,7 +267,7 @@ func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTime
 		m.OK, m.Units, m.CacheHits, wall.Round(10*time.Millisecond),
 		time.Duration(m.AggregateMS*1e6).Round(10*time.Millisecond),
 		m.ParallelSpeedup, sweepOut)
-	return m.Failed
+	return results, m.Failed
 }
 
 // traceSweep runs the same cold FIO workload under all three paging

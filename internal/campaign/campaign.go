@@ -4,12 +4,12 @@
 // physical memory under deliberately hostile device behavior, audit every
 // structural invariant while the storm runs, and report graceful-
 // degradation metrics (tail latency, fallback rate, OOM kills, pressure
-// stalls) in a deterministic manifest.
+// stalls) as a deterministic Result.
 //
 // A scenario is a fixed-seed experiment: same scenario, same bytes out.
-// The campaign runner wraps scenarios as uncacheable sweep units so the
-// existing orchestrator provides parallelism, timeouts and panic capture;
-// results are collected index-aligned and rendered in scenario order.
+// hwdpbench -pressure runs each scenario as an uncacheable sweep unit, so
+// the orchestrator provides parallelism, timeouts and panic capture, and
+// its manifest records every Result in scenario order.
 package campaign
 
 import (
@@ -148,15 +148,20 @@ func (w *pressureWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)
 // machine is audited by a watchdog for the whole run; after the workload
 // finishes, the run settles (in-flight writebacks drain) and the frame
 // ledger is balanced: every allocated frame must be accounted for by a
-// page-cache entry, a mapped PTE, the WAL buffer or an SMU queue.
-func Run(sc Scenario) Result {
+// page-cache entry, a mapped PTE, the WAL buffer or an SMU queue; see
+// Result.Audit. An error means the machine or its working set could not
+// be built.
+func Run(sc Scenario) (Result, error) {
 	cfg := core.DefaultConfig(sc.Scheme)
 	cfg.MemoryBytes = uint64(sc.MemoryMB) << 20
 	cfg.Seed = sc.Seed
 	cfg.FaultRules = sc.Faults
 	cfg.Kernel.DirtyRatioFrac = sc.DirtyRatioFrac
 	cfg.Kernel.OOMStallLimit = sc.OOMStallLimit
-	sys := cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return Result{}, err
+	}
 
 	psi := metrics.NewPSI()
 	sys.K.SetPSI(psi)
@@ -179,7 +184,7 @@ func Run(sc Scenario) Result {
 	for i, p := range procs {
 		va, err := sys.K.MmapAnon(p, 0, 0, perProc, prot, fast)
 		if err != nil {
-			panic(fmt.Sprintf("campaign: mmap %d pages for proc %d: %v", perProc, i, err))
+			return Result{}, fmt.Errorf("campaign: mmap %d pages for proc %d: %w", perProc, i, err)
 		}
 		bases[i] = va
 	}
@@ -263,7 +268,7 @@ func Run(sc Scenario) Result {
 		res.WatchdogViolations = append(res.WatchdogViolations,
 			fmt.Sprintf("... truncated at %d violations", len(wd.Violations())))
 	}
-	return res
+	return res, nil
 }
 
 // stormRules is the shared device-level chaos: recoverable media errors

@@ -34,12 +34,25 @@ func quickScenario() Scenario {
 	}
 }
 
+// mustRun runs a scenario, failing the test if the machine cannot be built.
+func mustRun(t *testing.T, sc Scenario) Result {
+	t.Helper()
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // A campaign scenario must complete with a clean audit: the watchdog ran,
 // recorded nothing, and every allocated frame is accounted for.
 func TestScenarioCleanAudit(t *testing.T) {
-	r := Run(quickScenario())
+	r := mustRun(t, quickScenario())
 	if r.Ops == 0 {
 		t.Fatal("no operations completed")
+	}
+	if err := r.Audit(); err != nil {
+		t.Fatal(err)
 	}
 	if r.WatchdogRuns == 0 {
 		t.Fatal("watchdog never ticked")
@@ -55,7 +68,7 @@ func TestScenarioCleanAudit(t *testing.T) {
 // The pressure machinery must actually engage under the storm — a clean
 // audit of mechanisms that never fired proves nothing.
 func TestScenarioExercisesPressure(t *testing.T) {
-	r := Run(quickScenario())
+	r := mustRun(t, quickScenario())
 	if r.Evictions == 0 {
 		t.Fatal("no evictions despite 2x oversubscription")
 	}
@@ -72,13 +85,13 @@ func TestScenarioExercisesPressure(t *testing.T) {
 }
 
 // Same scenario, same seed, same report: campaigns must be deterministic
-// so the manifest is a regression artifact, not noise.
+// so the sweep manifest is a regression artifact, not noise.
 func TestScenarioDeterministic(t *testing.T) {
-	a, err := json.Marshal(Run(quickScenario()))
+	a, err := json.Marshal(mustRun(t, quickScenario()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(Run(quickScenario()))
+	b, err := json.Marshal(mustRun(t, quickScenario()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +106,7 @@ func TestScenarioOSDPClean(t *testing.T) {
 	sc := quickScenario()
 	sc.Scheme = kernel.OSDP
 	sc.DirtyRatioFrac = 0 // throttle scenario is HWDP's; keep OSDP minimal
-	r := Run(sc)
+	r := mustRun(t, sc)
 	if r.Ops == 0 {
 		t.Fatal("no operations completed")
 	}
@@ -105,8 +118,10 @@ func TestScenarioOSDPClean(t *testing.T) {
 	}
 }
 
-// The manifest and the comparison figure render from results in scenario
-// order and summarize cleanliness.
+// The audit calls a run clean only with no violations and no leaked
+// frames, and the comparison figure renders the ladder rows alone. (The
+// round trip of these results through the sweep manifest is
+// internal/sweep's TestManifestRoundTrip.)
 func TestManifestAndComparison(t *testing.T) {
 	results := []Result{
 		{Name: "ladder/hwdp/r1.5", Kind: "ladder", Scheme: "HWDP", OversubRatio: 1.5,
@@ -115,10 +130,14 @@ func TestManifestAndComparison(t *testing.T) {
 			P999US: 240.1},
 		{Name: "oom/hwdp", Kind: "oom", Scheme: "HWDP", OversubRatio: 2.5,
 			LeakedFrames: 3},
+		{Name: "throttle/hwdp", Kind: "throttle", Scheme: "HWDP", OversubRatio: 1.2,
+			WatchdogViolations: []string{"frame 7 on two LRUs"}},
 	}
-	m := NewManifest(results)
-	if m.Scenarios != 3 || m.Clean != 2 {
-		t.Fatalf("summary: scenarios %d clean %d", m.Scenarios, m.Clean)
+	for i, want := range []string{"", "", "3 frames leaked", "1 watchdog violations, first: frame 7"} {
+		err := results[i].Audit()
+		if (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: audit = %v, want %q", results[i].Name, err, want)
+		}
 	}
 	fig := RenderComparison(results)
 	for _, want := range []string{"HWDP p99.9", "OSDP p99.9", "120.50", "240.10", "1.5"} {

@@ -142,8 +142,8 @@ func (c Config) Validate() error {
 }
 
 // Build assembles a machine from the config, panicking on an invalid one
-// (sugar for NewSystem where the config is known good: tests, examples and
-// the figure harness).
+// (sugar for NewSystem where the config is known good: tests and
+// examples).
 func (c Config) Build() *System {
 	sys, err := NewSystem(c)
 	if err != nil {

@@ -35,7 +35,10 @@ func AblationPMSHR(p Params) (*PMSHRResult, error) {
 		cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
 		cfg.PMSHREntries = entries
 		cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
-		sys := cfg.Build()
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			return nil, err
+		}
 		fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 		if err != nil {
 			return nil, err
@@ -94,7 +97,10 @@ func AblationDeviceSweep(p Params) (*DeviceSweepResult, error) {
 			cfg.MemoryBytes = p.memoryBytes()
 			cfg.Device = dev
 			cfg.DeviceJitter = false
-			sys := cfg.Build()
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
 			va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
 			if err != nil {
 				return nil, err
@@ -154,7 +160,10 @@ func AblationPrefetch(p Params) (*PrefetchResult, error) {
 			cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
 			cfg.PrefetchDegree = degree
 			cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
-			sys := cfg.Build()
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
 			fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 			if err != nil {
 				return nil, err

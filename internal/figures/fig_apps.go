@@ -57,7 +57,10 @@ func Fig13(p Params, threads []int) (*Fig13Result, error) {
 // the row blocks back into the exact sequential table.
 func fig13Workload(p Params, name string, threads []int) ([]Fig13Cell, error) {
 	run := func(name string, scheme kernel.Scheme, n int) (float64, error) {
-		sys := p.newSystem(scheme, ssd.ZSSD)
+		sys, err := p.newSystem(scheme, ssd.ZSSD)
+		if err != nil {
+			return 0, err
+		}
 		opt := workload.RunOptions{OpsPerThread: p.OpsPerThread, WarmupOps: p.WarmupOps}
 		var w workload.Workload
 		switch name {
@@ -163,7 +166,10 @@ type Fig14Result struct {
 func Fig14(p Params) (*Fig14Result, error) {
 	const threads = 4
 	run := func(scheme kernel.Scheme) (float64, microRates, float64, error) {
-		sys := p.newSystem(scheme, ssd.ZSSD)
+		sys, err := p.newSystem(scheme, ssd.ZSSD)
+		if err != nil {
+			return 0, microRates{}, 0, err
+		}
 		m, err := runYCSB(sys, p, 'C', threads)
 		if err != nil {
 			return 0, microRates{}, 0, err
@@ -226,7 +232,10 @@ type Fig15Result struct {
 func Fig15(p Params) (*Fig15Result, error) {
 	const threads = 4
 	run := func(scheme kernel.Scheme) (app cpu.Counters, bg cpu.Counters, err error) {
-		sys := p.newSystem(scheme, ssd.ZSSD)
+		sys, err := p.newSystem(scheme, ssd.ZSSD)
+		if err != nil {
+			return
+		}
 		if _, err = runYCSB(sys, p, 'C', threads); err != nil {
 			return
 		}
@@ -290,7 +299,10 @@ type Fig16Result struct{ Rows []Fig16Row }
 func Fig16(p Params) (*Fig16Result, error) {
 	dur := 40 * sim.Millisecond
 	run := func(scheme kernel.Scheme, spec *workload.Compute) (fioOps float64, fioInstr uint64, specIPC float64, err error) {
-		sys := p.newSystem(scheme, ssd.ZSSD)
+		sys, err := p.newSystem(scheme, ssd.ZSSD)
+		if err != nil {
+			return 0, 0, 0, err
+		}
 		fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 		if err != nil {
 			return 0, 0, 0, err

@@ -29,7 +29,10 @@ func Fig11(p Params) (*Fig11Result, error) {
 		cfg := core.DefaultConfig(scheme)
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.DeviceJitter = false
-		sys := cfg.Build()
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			return 0, nil, nil, err
+		}
 		va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
 		if err != nil {
 			return 0, nil, nil, err
@@ -92,7 +95,10 @@ type Fig12Result struct{ Rows []Fig12Row }
 // Fig12 runs FIO randread (mmap engine) at 1–8 threads under both schemes.
 func Fig12(p Params) (*Fig12Result, error) {
 	lat := func(scheme kernel.Scheme, threads int) (sim.Time, error) {
-		sys := p.newSystem(scheme, ssd.ZSSD)
+		sys, err := p.newSystem(scheme, ssd.ZSSD)
+		if err != nil {
+			return 0, err
+		}
 		fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 		if err != nil {
 			return 0, err
@@ -155,7 +161,10 @@ func Fig17(p Params) (*Fig17Result, error) {
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.Device = dev
 		cfg.DeviceJitter = false
-		sys := cfg.Build()
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			return 0, err
+		}
 		va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
 		if err != nil {
 			return 0, err
@@ -220,7 +229,10 @@ func KpooldAblation(p Params) (*KpooldResult, error) {
 		cfg.Kernel.KptedPeriod = 20 * sim.Millisecond
 		cfg.FreeQueueDepth = 256
 		cfg.Kernel.KpooldPeriod = 2750 * sim.Microsecond
-		sys := cfg.Build()
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			return 0, 0, err
+		}
 		fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 		if err != nil {
 			return 0, 0, err

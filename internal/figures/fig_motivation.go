@@ -38,7 +38,10 @@ func Fig1(p Params) (*Fig1Result, error) {
 		// story at ratios below 1).
 		pr.OpsPerThread += pr.WarmupOps
 		pr.WarmupOps = 0
-		sys := pr.newSystem(kernel.OSDP, ssd.ZSSD)
+		sys, err := pr.newSystem(kernel.OSDP, ssd.ZSSD)
+		if err != nil {
+			return nil, err
+		}
 		m, err := runYCSB(sys, pr, 'C', threads)
 		if err != nil {
 			return nil, err
@@ -124,12 +127,13 @@ type Fig3Result struct {
 
 // Fig3 measures one OSDP fault end-to-end and decomposes it.
 func Fig3(p Params) (*Fig3Result, error) {
-	sys := p.newSystem(kernel.OSDP, ssd.ZSSD)
-	sys.Cfg.DeviceJitter = false
 	// Use a jitter-free machine for the exact single-fault measurement.
-	cfg := sys.Cfg
+	cfg := p.config(kernel.OSDP, ssd.ZSSD)
 	cfg.DeviceJitter = false
-	sys = cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
 	va, _, err := sys.MapFile("probe", 16, nil, kernel.MmapFlags{})
 	if err != nil {
 		return nil, err
@@ -217,7 +221,10 @@ func Fig4(p Params) (*Fig4Result, error) {
 	pr.WarmupOps = 0
 
 	run := func(populate bool) (workload.Result, microRates, error) {
-		sys := pr.newSystem(kernel.OSDP, ssd.ZSSD)
+		sys, err := pr.newSystem(kernel.OSDP, ssd.ZSSD)
+		if err != nil {
+			return workload.Result{}, microRates{}, err
+		}
 		flags := sys.FastFlags()
 		flags.Populate = populate
 		st, err := kvs.Create(sys.K, sys.FS, sys.Proc, "rocksdb.sst",

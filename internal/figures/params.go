@@ -58,8 +58,8 @@ func (p Params) datasetPages() int {
 	return int(float64(p.memoryBytes()) * p.DatasetRatio / 4096)
 }
 
-// newSystem builds the standard evaluation machine for a scheme.
-func (p Params) newSystem(scheme kernel.Scheme, dev ssd.Profile) *core.System {
+// config describes the standard evaluation machine for a scheme.
+func (p Params) config(scheme kernel.Scheme, dev ssd.Profile) core.Config {
 	cfg := core.DefaultConfig(scheme)
 	cfg.MemoryBytes = p.memoryBytes()
 	cfg.Device = dev
@@ -70,7 +70,12 @@ func (p Params) newSystem(scheme kernel.Scheme, dev ssd.Profile) *core.System {
 	// of a second.
 	cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
 	p.ApplySSD(&cfg)
-	return cfg.Build()
+	return cfg
+}
+
+// newSystem builds the standard evaluation machine for a scheme.
+func (p Params) newSystem(scheme kernel.Scheme, dev ssd.Profile) (*core.System, error) {
+	return core.NewSystem(p.config(scheme, dev))
 }
 
 // ApplySSD threads the Params' SSD-backend selection into a machine

@@ -52,7 +52,10 @@ func runSSDRow(p Params, name string, configure func(*core.Config)) (SSDSteadyRo
 	cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
 	cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
 	configure(&cfg)
-	sys := cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return SSDSteadyRow{}, err
+	}
 	fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 	if err != nil {
 		return SSDSteadyRow{}, err

@@ -24,21 +24,21 @@ import (
 // -threads flag; nil means the default 1,2,4,8.
 func Units(p Params, threads []int) []sweep.Unit {
 	fp := Fingerprint(p)
-	stringer := func(run func() (fmt.Stringer, error)) func() (string, error) {
-		return func() (string, error) {
+	stringer := func(run func() (fmt.Stringer, error)) func() (string, any, error) {
+		return func() (string, any, error) {
 			r, err := run()
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			// The trailing newline matches fmt.Println on the sequential
 			// path, keeping one blank line between units.
-			return r.String() + "\n", nil
+			return r.String() + "\n", nil, nil
 		}
 	}
 	table := func(name, fingerprint string, render func() string) sweep.Unit {
 		return sweep.Unit{
 			Name: "table/" + name, Kind: "table", Fingerprint: fingerprint,
-			Run: func() (string, error) { return render() + "\n", nil },
+			Run: func() (string, any, error) { return render() + "\n", nil, nil },
 		}
 	}
 	figure := func(name, fingerprint string, run func() (fmt.Stringer, error)) sweep.Unit {
@@ -53,10 +53,10 @@ func Units(p Params, threads []int) []sweep.Unit {
 		return sweep.Unit{
 			Name: "fig/13/" + workload, Kind: "figure",
 			Fingerprint: fmt.Sprintf("%s threads=%v workload=%s", fp, threads, workload),
-			Run: func() (string, error) {
+			Run: func() (string, any, error) {
 				cells, err := fig13Workload(p, workload, fig13Threads(threads))
 				if err != nil {
-					return "", err
+					return "", nil, err
 				}
 				out := fig13Rows(cells)
 				if first {
@@ -67,7 +67,7 @@ func Units(p Params, threads []int) []sweep.Unit {
 					// unit ends with.
 					out += fig13Footer + "\n"
 				}
-				return out, nil
+				return out, nil, nil
 			},
 		}
 	}

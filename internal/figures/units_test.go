@@ -95,7 +95,7 @@ func TestFig13ShardAssembly(t *testing.T) {
 		if !strings.HasPrefix(u.Name, "fig/13/") {
 			continue
 		}
-		out, err := u.Run()
+		out, _, err := u.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -114,7 +114,7 @@ func TestUnitRunMatchesDirectCall(t *testing.T) {
 		if u.Name != "table/1" {
 			continue
 		}
-		out, err := u.Run()
+		out, _, err := u.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,9 @@
 // Everything here is harness-level composition: the tenant model itself
 // lives in the layers below (kernel.Thread.Tenant → mmu.TenantCarrier →
 // smu.Request.Tenant → nvme.Command.Tenant), and the fleet package only
-// wires configs, workloads and reports around it. Fixed-seed runs are
-// byte-identical across sweep workers; see docs/FLEET.md.
+// wires configs, workloads and reports around it. hwdpbench -fleet runs
+// each experiment as a sweep unit, and fixed-seed runs are byte-identical
+// across sweep workers (docs/FLEET.md).
 package fleet
 
 import (
@@ -91,6 +92,49 @@ func DefaultConfig() Config {
 		SLOTargetUS:  200,
 		Seed:         1,
 	}
+}
+
+// Ladder builds the standard fleet sweep: for each intensity skew, one
+// experiment with QoS off (today's FIFO admission) and one with QoS on,
+// so the comparison isolates exactly what weighted-fair admission buys the
+// victim tenant. Tenant/thread/socket shape comes from DefaultConfig.
+func Ladder(seed uint64) []Config {
+	var cfgs []Config
+	for _, skew := range []float64{0.5, 1.3, 2.0, 3.0} {
+		for _, qos := range []bool{false, true} {
+			c := DefaultConfig()
+			c.Skew = skew
+			c.QoS = qos
+			c.Seed = seed
+			tag := "fifo"
+			if qos {
+				tag = "qos"
+			}
+			c.Name = fmt.Sprintf("fleet/skew%.2f/%s", skew, tag)
+			cfgs = append(cfgs, c)
+		}
+	}
+	return cfgs
+}
+
+// QuickLadder is the CI-sized sweep: one skew, both admission modes, a
+// shorter run.
+func QuickLadder(seed uint64) []Config {
+	var cfgs []Config
+	for _, qos := range []bool{false, true} {
+		c := DefaultConfig()
+		c.QoS = qos
+		c.Seed = seed
+		c.Duration = 12 * sim.Millisecond
+		c.Warmup = 3 * sim.Millisecond
+		tag := "fifo"
+		if qos {
+			tag = "qos"
+		}
+		c.Name = fmt.Sprintf("fleet/quick/%s", tag)
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
 }
 
 // Validate reports why the config cannot describe a fleet experiment.

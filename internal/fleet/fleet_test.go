@@ -90,12 +90,29 @@ func TestIsolationImprovement(t *testing.T) {
 	}
 }
 
+// ladderUnits runs each config as a sweep unit returning its report and
+// Result, the way hwdpbench -fleet does.
+func ladderUnits(cfgs []Config) []sweep.Unit {
+	units := make([]sweep.Unit, len(cfgs))
+	for i, c := range cfgs {
+		units[i] = sweep.Unit{Name: c.Name, Kind: "fleet", Fingerprint: c.Fingerprint(),
+			Run: func() (string, any, error) {
+				r, err := Run(c)
+				if err != nil {
+					return "", nil, err
+				}
+				return RenderResult(r), r, nil
+			}}
+	}
+	return units
+}
+
 // TestSweepWorkerInvariance pins the fleet figure across sweep worker
 // counts: running the quick ladder under -j 1 and -j 8 must emit identical
 // bytes (unit-list-order emission).
 func TestSweepWorkerInvariance(t *testing.T) {
 	emit := func(workers int) string {
-		units, _ := Units(QuickLadder(1))
+		units := ladderUnits(QuickLadder(1))
 		var buf bytes.Buffer
 		rs := sweep.Run(units, sweep.Options{Workers: workers, Out: &buf})
 		for _, r := range rs {
@@ -208,21 +225,26 @@ func TestStarvedRetryIsNotBadAddr(t *testing.T) {
 }
 
 // TestLadderRenders smoke-checks the full ladder report plumbing: every
-// unit runs, the manifest summarizes every tenant row, and the comparison
-// figure has one line per skew.
+// unit runs and returns its Result with one row per tenant, and the
+// comparison figure has one line per skew. (The round trip of these
+// results through the sweep manifest is internal/sweep's
+// TestManifestRoundTrip.)
 func TestLadderRenders(t *testing.T) {
 	cfgs := QuickLadder(1)
-	units, results := Units(cfgs)
 	var buf bytes.Buffer
-	rs := sweep.Run(units, sweep.Options{Workers: 2, Out: &buf})
+	rs := sweep.Run(ladderUnits(cfgs), sweep.Options{Workers: 2, Out: &buf})
 	for _, r := range rs {
 		if r.Status != sweep.StatusOK {
 			t.Fatalf("unit %s: %s: %s", r.Name, r.Status, r.Err)
 		}
 	}
-	m := NewManifest(results)
-	if m.Experiments != len(cfgs) || m.TenantRows != len(cfgs)*cfgs[0].Tenants {
-		t.Fatalf("manifest shape: %d experiments, %d tenant rows", m.Experiments, m.TenantRows)
+	results := sweep.Values[Result](rs)
+	rows := 0
+	for _, r := range results {
+		rows += len(r.Rows)
+	}
+	if len(results) != len(cfgs) || rows != len(cfgs)*cfgs[0].Tenants {
+		t.Fatalf("ladder shape: %d experiments, %d tenant rows", len(results), rows)
 	}
 	cmp := RenderComparison(results)
 	if want := fmt.Sprintf("%.2f", cfgs[0].Skew); !bytes.Contains([]byte(cmp), []byte(want)) {

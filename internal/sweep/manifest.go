@@ -11,8 +11,34 @@ import (
 	"time"
 )
 
-// ManifestSchema versions the SWEEP_hwdp.json layout.
-const ManifestSchema = 1
+// ManifestSchema versions the SWEEP_hwdp.json layout. Schema 2 added the
+// run records' typed results.
+const ManifestSchema = 2
+
+// Header is the host preamble every JSON artifact opens with: the
+// artifact's schema version and the Go toolchain and platform that
+// produced it.
+type Header struct {
+	Schema    int    `json:"schema"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+}
+
+// HostHeader returns the header for an artifact of the given schema on
+// this host.
+func HostHeader(schema int) Header {
+	return Header{Schema: schema, GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
+}
+
+// WriteJSON writes v to path as indented JSON with a trailing newline.
+func WriteJSON(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
 
 // RunRecord is one unit's row in the sweep manifest.
 type RunRecord struct {
@@ -33,17 +59,17 @@ type RunRecord struct {
 	// Error and Stack describe failures.
 	Error string `json:"error,omitempty"`
 	Stack string `json:"stack,omitempty"`
+	// Result is the unit's typed result (Result.Value), absent for
+	// text-only units and for runs that panicked or timed out.
+	Result any `json:"result,omitempty"`
 }
 
 // Manifest is the machine-readable record of one sweep, written as
-// SWEEP_hwdp.json for CI artifacts.
+// SWEEP_hwdp.json for CI artifacts. It is the only manifest: campaign and
+// fleet runs record their typed results in it.
 type Manifest struct {
-	// Schema is ManifestSchema.
-	Schema int `json:"schema"`
-	// GoVersion, GOOS and GOARCH describe the host toolchain.
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
+	// Header carries ManifestSchema and the host toolchain.
+	Header
 	// Workers is the requested pool bound (-j).
 	Workers int `json:"workers"`
 	// Units/OK/Failed/CacheHits/CacheMisses summarize the run.
@@ -66,13 +92,10 @@ type Manifest struct {
 // NewManifest summarizes a sweep's results.
 func NewManifest(results []Result, workers int, wall time.Duration) Manifest {
 	m := Manifest{
-		Schema:    ManifestSchema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Workers:   workers,
-		Units:     len(results),
-		WallMS:    float64(wall.Nanoseconds()) / 1e6,
+		Header:  HostHeader(ManifestSchema),
+		Workers: workers,
+		Units:   len(results),
+		WallMS:  float64(wall.Nanoseconds()) / 1e6,
 	}
 	var agg time.Duration
 	for _, r := range results {
@@ -86,6 +109,7 @@ func NewManifest(results []Result, workers int, wall time.Duration) Manifest {
 			OutputSHA256: digest(r.Output),
 			Error:        r.Err,
 			Stack:        r.Stack,
+			Result:       r.Value,
 		}
 		switch {
 		case r.Status == StatusOK:
@@ -107,16 +131,6 @@ func NewManifest(results []Result, workers int, wall time.Duration) Manifest {
 		m.ParallelSpeedup = m.AggregateMS / m.WallMS
 	}
 	return m
-}
-
-// Write marshals the manifest to path as indented JSON.
-func (m Manifest) Write(path string) error {
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
 }
 
 // DeterministicSignature projects the manifest onto its host-independent

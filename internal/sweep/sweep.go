@@ -7,10 +7,10 @@
 // simdeterminism analyzer forbids goroutines inside the model packages —
 // but the paper's artifacts are bags of *independent* fixed-seed runs, so
 // the parallelism lives out here: each unit builds its own System, runs to
-// completion on one goroutine, and returns its rendered text. Aggregation
-// is deterministic by construction (results are emitted in unit-list
-// order, never completion order), so `-j 8` and `-j 1` produce the same
-// bytes on stdout.
+// completion on one goroutine, and returns its rendered text and typed
+// result. Aggregation is deterministic by construction (results are
+// emitted in unit-list order, never completion order), so `-j 8` and
+// `-j 1` produce the same bytes on stdout.
 //
 // Robustness plumbing wraps every unit: a panicking run is captured with
 // its stack and recorded as a structured failure without aborting the
@@ -31,9 +31,10 @@ import (
 
 // Unit is one self-describing run of a sweep: a named experiment with a
 // fixed configuration whose Run function produces the unit's rendered
-// output. Units must be independent — each builds its own simulated
-// machine — and deterministic for a fixed Fingerprint, which is what
-// makes both parallel execution and result caching sound.
+// output and, optionally, its typed result. Units must be independent —
+// each builds its own simulated machine — and deterministic for a fixed
+// Fingerprint, which is what makes both parallel execution and result
+// caching sound.
 type Unit struct {
 	// Name identifies the unit ("fig/12", "table/area", "bench"). It is
 	// the stable key used for ordering, the manifest and the cache.
@@ -45,10 +46,13 @@ type Unit struct {
 	// any field that changes results must appear here.
 	Fingerprint string
 	// Run executes the experiment and returns its rendered text exactly
-	// as it should appear on the aggregate output stream.
-	Run func() (string, error)
-	// Uncacheable marks units whose output depends on the host (e.g.
-	// wall-clock benchmarks); they always re-run.
+	// as it should appear on the aggregate output stream, its typed
+	// result (nil for text-only units) and an error. The result reaches
+	// Result.Value and the manifest; the text is dropped on error.
+	Run func() (string, any, error)
+	// Uncacheable marks units that must always re-run: those whose output
+	// depends on the host (e.g. wall-clock benchmarks), and those whose
+	// typed result is needed, since the cache stores only text.
 	Uncacheable bool
 }
 
@@ -78,6 +82,10 @@ type Result struct {
 	Status Status
 	// Output is the unit's rendered text (from Run or the cache).
 	Output string
+	// Value is the typed result Run returned. A failed run keeps it (a
+	// dirty audit is still worth recording); a panic, a timeout or a
+	// cache hit leaves it nil.
+	Value any
 	// Err is the failure description for non-OK statuses.
 	Err string
 	// Stack is the captured goroutine stack for StatusPanicked.
@@ -123,7 +131,7 @@ func Run(units []Unit, opt Options) []Result {
 	if workers < 1 {
 		workers = 1
 	}
-	results := make([]Result, len(units))
+	res := make([]Result, len(units))
 	emit := &orderedEmitter{w: opt.Out, pending: make(map[int]string)}
 	prog := newProgress(opt.Progress, len(units))
 	idx := make(chan int)
@@ -133,9 +141,9 @@ func Run(units []Unit, opt Options) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runUnit(units[i], opt)
-				emit.deliver(i, results[i].Output)
-				prog.finished(results[i])
+				res[i] = runUnit(units[i], opt)
+				emit.deliver(i, res[i].Output)
+				prog.finished(res[i])
 			}
 		}()
 	}
@@ -144,13 +152,28 @@ func Run(units []Unit, opt Options) []Result {
 	}
 	close(idx)
 	wg.Wait()
-	return results
+	return res
+}
+
+// Values returns the typed results of the ok runs, in unit order,
+// skipping those whose value is not a T. Summaries and comparison figures
+// are built from it, so a run that failed, panicked or timed out never
+// counts as a clean one.
+func Values[T any](results []Result) []T {
+	var out []T
+	for _, r := range results {
+		if v, ok := r.Value.(T); ok && r.Status == StatusOK {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // outcome carries a unit run's raw ending across the watchdog channel.
 type outcome struct {
 	status Status
 	output string
+	value  any
 	err    string
 	stack  string
 }
@@ -173,7 +196,9 @@ func runUnit(u Unit, opt Options) Result {
 	// The unit runs on its own goroutine so the watchdog can abandon it:
 	// a simulation stuck in an event loop cannot be preempted, only
 	// detached. The buffered channel lets an abandoned run's eventual
-	// outcome be dropped instead of leaking the goroutine forever.
+	// outcome be dropped instead of leaking the goroutine forever; the
+	// run's value travels only through it, so a late run can never write
+	// into a Result the caller already holds.
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -185,12 +210,12 @@ func runUnit(u Unit, opt Options) Result {
 				}
 			}
 		}()
-		out, err := u.Run()
+		out, v, err := u.Run()
 		if err != nil {
-			ch <- outcome{status: StatusFailed, err: err.Error()}
+			ch <- outcome{status: StatusFailed, value: v, err: err.Error()}
 			return
 		}
-		ch <- outcome{status: StatusOK, output: out}
+		ch <- outcome{status: StatusOK, output: out, value: v}
 	}()
 	var timeout <-chan time.Time
 	if opt.UnitTimeout > 0 {
@@ -202,6 +227,7 @@ func runUnit(u Unit, opt Options) Result {
 	case oc := <-ch:
 		res.Status = oc.status
 		res.Output = oc.output
+		res.Value = oc.value
 		res.Err = oc.err
 		res.Stack = oc.stack
 	case <-timeout:

@@ -17,9 +17,9 @@ import (
 func fakeUnit(name string, delay time.Duration) Unit {
 	return Unit{
 		Name: name, Kind: "fake", Fingerprint: "fp:" + name,
-		Run: func() (string, error) {
+		Run: func() (string, any, error) {
 			time.Sleep(delay)
-			return "out:" + name + "\n", nil
+			return "out:" + name + "\n", nil, nil
 		},
 	}
 }
@@ -63,7 +63,7 @@ func TestPanicIsolation(t *testing.T) {
 	units := []Unit{
 		fakeUnit("a", 0),
 		{Name: "boom", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { panic("injected failure") }},
+			Run: func() (string, any, error) { panic("injected failure") }},
 		fakeUnit("b", 0),
 	}
 	var out bytes.Buffer
@@ -89,18 +89,27 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestErrorIsolation verifies a Run error becomes a failed record without
-// stopping the sweep.
+// stopping the sweep, and that the failed run keeps its value (a dirty
+// audit is still worth recording) but drops its text and is not an ok
+// value.
 func TestErrorIsolation(t *testing.T) {
 	units := []Unit{
 		{Name: "bad", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { return "", fmt.Errorf("no such experiment") }},
+			Run: func() (string, any, error) { return "text\n", 7, fmt.Errorf("no such experiment") }},
 		fakeUnit("ok", 0),
 	}
-	results := Run(units, Options{Workers: 2})
+	var out bytes.Buffer
+	results := Run(units, Options{Workers: 2, Out: &out})
 	if results[0].Status != StatusFailed || results[0].Err != "no such experiment" {
 		t.Fatalf("failed record = %+v", results[0])
 	}
-	if results[1].Status != StatusOK {
+	if results[0].Value != 7 || results[0].Output != "" {
+		t.Fatalf("failed run: value %v output %q, want 7 and no text", results[0].Value, results[0].Output)
+	}
+	if got := Values[int](results); len(got) != 0 {
+		t.Fatalf("failed run counted as an ok value: %v", got)
+	}
+	if results[1].Status != StatusOK || out.String() != "out:ok\n" {
 		t.Fatal("healthy unit affected by neighbour failure")
 	}
 }
@@ -112,7 +121,7 @@ func TestTimeoutIsolation(t *testing.T) {
 	defer close(release)
 	units := []Unit{
 		{Name: "hung", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { <-release; return "late\n", nil }},
+			Run: func() (string, any, error) { <-release; return "late\n", nil, nil }},
 		fakeUnit("ok", 0),
 	}
 	var out bytes.Buffer
@@ -131,6 +140,43 @@ func TestTimeoutIsolation(t *testing.T) {
 	}
 }
 
+// TestLateRunLeavesNoValue is the regression for a run that finishes after
+// its timeout: its value and text must never reach the Result or the
+// manifest, even once the abandoned goroutine has returned them. Run it
+// with -race: a late write into caller-owned memory is a data race.
+func TestLateRunLeavesNoValue(t *testing.T) {
+	release, finished := make(chan struct{}), make(chan struct{})
+	units := []Unit{
+		{Name: "late", Kind: "fake", Fingerprint: "fp",
+			Run: func() (string, any, error) {
+				defer close(finished)
+				<-release
+				return "late\n", 42, nil
+			}},
+		{Name: "ok", Kind: "fake", Fingerprint: "fp",
+			Run: func() (string, any, error) { return "ok\n", 1, nil }},
+	}
+	var out bytes.Buffer
+	results := Run(units, Options{Workers: 2, UnitTimeout: 20 * time.Millisecond, Out: &out})
+	close(release)
+	<-finished
+	time.Sleep(10 * time.Millisecond) // let the late outcome reach its dropped channel
+	late := results[0]
+	if late.Status != StatusTimeout || late.Value != nil || late.Output != "" {
+		t.Fatalf("late run leaked into its record: %+v", late)
+	}
+	if got := Values[int](results); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("ok values = %v, want [1]", got)
+	}
+	m := NewManifest(results, 2, time.Millisecond)
+	if m.Runs[0].Result != nil || m.Runs[1].Result != 1 {
+		t.Fatalf("manifest results = %v, %v; want none for the late run", m.Runs[0].Result, m.Runs[1].Result)
+	}
+	if out.String() != "ok\n" {
+		t.Fatalf("output = %q", out.String())
+	}
+}
+
 // TestCacheRoundTrip verifies miss → store → hit, fingerprint
 // sensitivity, and that uncacheable units bypass the cache.
 func TestCacheRoundTrip(t *testing.T) {
@@ -140,9 +186,9 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	ran := 0
 	unit := Unit{Name: "u", Kind: "fake", Fingerprint: "v1",
-		Run: func() (string, error) { ran++; return "payload\n", nil }}
+		Run: func() (string, any, error) { ran++; return "payload\n", nil, nil }}
 	bench := Unit{Name: "bench", Kind: "bench", Fingerprint: "v1", Uncacheable: true,
-		Run: func() (string, error) { ran++; return "timing\n", nil }}
+		Run: func() (string, any, error) { ran++; return "timing\n", nil, nil }}
 
 	r1 := Run([]Unit{unit, bench}, Options{Workers: 1, Cache: cache})
 	if r1[0].Cache != "miss" || r1[1].Cache != "off" {
@@ -179,11 +225,11 @@ func TestCacheNeverStoresFailures(t *testing.T) {
 	}
 	fail := true
 	unit := Unit{Name: "flaky", Kind: "fake", Fingerprint: "fp",
-		Run: func() (string, error) {
+		Run: func() (string, any, error) {
 			if fail {
-				return "", fmt.Errorf("transient")
+				return "", nil, fmt.Errorf("transient")
 			}
-			return "good\n", nil
+			return "good\n", nil, nil
 		}}
 	if r := Run([]Unit{unit}, Options{Cache: cache}); r[0].Status != StatusFailed {
 		t.Fatalf("status = %s", r[0].Status)
@@ -201,7 +247,7 @@ func TestManifest(t *testing.T) {
 	units := []Unit{
 		fakeUnit("a", 0),
 		{Name: "boom", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { panic("x") }},
+			Run: func() (string, any, error) { panic("x") }},
 	}
 	seq := NewManifest(Run(units, Options{Workers: 1}), 1, 5*time.Millisecond)
 	par := NewManifest(Run(units, Options{Workers: 8}), 8, 5*time.Millisecond)
@@ -217,7 +263,7 @@ func TestManifest(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "SWEEP_test.json")
-	if err := seq.Write(path); err != nil {
+	if err := WriteJSON(path, seq); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
