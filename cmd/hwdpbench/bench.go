@@ -122,6 +122,7 @@ func runBench(short bool, outPath string) (string, error) {
 
 	add("engine_schedule_fire_post", benchEnginePost(), 0)
 	add("engine_schedule_fire_handle", benchEngineHandle(), 0)
+	add("engine_timeout_cancel", benchEngineTimeoutCancel(), 0)
 	add("kvs_record_validate", benchRecordValidate(), 0)
 	add("fs_page_fill", benchPageFill(), 0)
 	r, eps := benchMissPath()
@@ -182,6 +183,30 @@ func benchEngineHandle() testing.BenchmarkResult {
 			}
 		}
 		e.Run()
+	})
+}
+
+// benchEngineTimeoutCancel measures the block layer's watchdog pattern: arm
+// a pooled 10 ms timeout, fire one event, then cancel the timeout before it
+// fires, with about 1k live events queued behind it.
+func benchEngineTimeoutCancel() testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		e := sim.NewEngine()
+		fn := func() {}
+		timeout := func(any) {}
+		// Far enough out that no run reaches them.
+		far := 1_000_000 * sim.Second
+		for i := 0; i < 1024; i++ {
+			e.PostAt(far+sim.Time(i), fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := e.AtArgPooled(e.Now()+10*sim.Millisecond, timeout, nil)
+			e.Post(sim.Micro(10), fn)
+			e.Step()
+			e.Cancel(ev)
+		}
 	})
 }
 

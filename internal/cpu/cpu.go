@@ -135,6 +135,11 @@ type HWThread struct {
 	core  *Core
 	state ThreadState
 
+	// stalled and stallStart track the open-ended stall between BeginStall
+	// and EndStall.
+	stalled    bool
+	stallStart sim.Time
+
 	warmth float64
 	Counters
 }
@@ -356,30 +361,23 @@ func (t *HWThread) AccountContextSwitch() { t.ContextSwaps++ }
 
 // BeginStall puts t's pipeline into the stalled state for an open-ended
 // duration (an HWDP page miss whose length is decided by the SMU/device).
-// The returned function ends the stall and must be called exactly once.
-func (c *CPU) BeginStall(t *HWThread) (end func()) {
+// EndStall ends it and must be called exactly once.
+func (c *CPU) BeginStall(t *HWThread) {
 	if t.state != Idle {
 		panic(fmt.Sprintf("cpu: BeginStall on thread %d in state %v", t.ID, t.state))
 	}
 	t.state = Stalled
-	start := c.eng.Now()
-	ended := false
-	return func() {
-		if ended {
-			panic("cpu: stall ended twice")
-		}
-		ended = true
-		t.StallTime += c.eng.Now() - start
-		t.state = Idle
-	}
+	t.stalled = true
+	t.stallStart = c.eng.Now()
 }
 
-// BeginIdle marks t idle-but-descheduled (a blocked thread in OSDP: the
-// hardware thread has nothing to issue). It exists for symmetry and
-// readability at call sites; threads are Idle by default.
-func (c *CPU) BeginIdle(t *HWThread) (end func()) {
-	if t.state != Idle {
-		panic(fmt.Sprintf("cpu: BeginIdle on thread %d in state %v", t.ID, t.state))
+// EndStall ends the open-ended stall BeginStall started on t, charging its
+// length to StallTime.
+func (c *CPU) EndStall(t *HWThread) {
+	if !t.stalled {
+		panic("cpu: stall ended twice")
 	}
-	return func() {}
+	t.stalled = false
+	t.StallTime += c.eng.Now() - t.stallStart
+	t.state = Idle
 }

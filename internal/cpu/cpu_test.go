@@ -221,6 +221,35 @@ func TestStallDoesNotPollute(t *testing.T) {
 	}
 }
 
+func TestOpenEndedStall(t *testing.T) {
+	// BeginStall/EndStall charge the stall's length to StallTime, return
+	// the thread to Idle, allocate nothing, and reject a second EndStall.
+	eng, c := newCPU(1)
+	th := c.Thread(0)
+	c.BeginStall(th)
+	if th.State() != Stalled {
+		t.Fatalf("state = %v, want stalled", th.State())
+	}
+	eng.Post(sim.Micro(3), func() {})
+	eng.Run()
+	c.EndStall(th)
+	if th.State() != Idle || th.StallTime != sim.Micro(3) {
+		t.Fatalf("state %v, stall time %v; want idle, 3us", th.State(), th.StallTime)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		c.BeginStall(th)
+		c.EndStall(th)
+	}); got != 0 {
+		t.Fatalf("BeginStall+EndStall allocates %.1f objects/op, want 0", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on a stall ended twice")
+		}
+	}()
+	c.EndStall(th)
+}
+
 func TestBusyThreadPanics(t *testing.T) {
 	eng, c := newCPU(1)
 	th := c.Thread(0)

@@ -26,7 +26,7 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		panic("kernel: fault without thread context")
 	}
 	// The pipeline is no longer stalled: the CPU vectors into the kernel.
-	th.endStall()
+	th.endStall(k)
 
 	p := k.byASID[as.ASID]
 	vma := p.findVMA(va)
@@ -393,7 +393,7 @@ func (k *Kernel) swFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
 						// The interrupt handler touches the monitored
 						// address; the mwait returns and the routine
 						// finishes the miss.
-						th.endStall()
+						th.endStall(k)
 						k.kspan(ms, "irq+sw-complete", hw, c.InterruptDelivery+c.SWComplete, func() {
 							if status != nvme.StatusSuccess {
 								// Unrecoverable: SIGBUS, and fail every fault

@@ -206,10 +206,21 @@ type sqWait struct {
 	at  sim.Time
 }
 
-// osPending tracks one in-flight OS command: the completion callback and
-// the block-layer timeout armed for it.
+// osPending carries one block-layer I/O from submission to its final
+// status, across retries: the request, the attempt count, the queue slot of
+// the current attempt and the block-layer timeout armed for it. Carriers
+// are pooled, so a round trip allocates nothing.
 type osPending struct {
+	st      *storage
+	hw      *cpu.HWThread
+	op      nvme.Opcode
+	lba     uint64
+	frame   mem.FrameID
+	ms      *trace.Miss
 	done    func(status uint16)
+	attempt int
+	q       *osQueue
+	cid     uint16
 	timeout *sim.Event
 }
 
@@ -277,8 +288,10 @@ type Thread struct {
 	// Killed marks a thread terminated by the SIGBUS model: the I/O backing
 	// one of its page faults failed unrecoverably. The simulation keeps the
 	// Thread object (accounting), but workloads should stop driving it.
-	Killed   bool
-	stallEnd func()
+	Killed bool
+	// stalled marks an open-ended pipeline stall begun by beginStall and
+	// not yet ended.
+	stalled bool
 }
 
 // CoreID implements mmu.CoreCarrier: the logical core the thread is pinned
@@ -289,12 +302,15 @@ func (t *Thread) CoreID() int { return t.HW.ID }
 // thread's page misses.
 func (t *Thread) TenantID() int { return t.Tenant }
 
-func (t *Thread) beginStall(k *Kernel) { t.stallEnd = k.cpu.BeginStall(t.HW) }
+func (t *Thread) beginStall(k *Kernel) {
+	k.cpu.BeginStall(t.HW)
+	t.stalled = true
+}
 
-func (t *Thread) endStall() {
-	if t.stallEnd != nil {
-		t.stallEnd()
-		t.stallEnd = nil
+func (t *Thread) endStall(k *Kernel) {
+	if t.stalled {
+		k.cpu.EndStall(t.HW)
+		t.stalled = false
 	}
 }
 
@@ -387,6 +403,12 @@ type Kernel struct {
 	kexecFn   func(any)
 	kexecPool []*kexecReq
 
+	// Block-layer I/O carriers and their pre-bound timeout and retry
+	// callbacks: every OS I/O arms a watchdog, so neither may allocate.
+	osPendPool     []*osPending
+	blockTimeoutFn func(any)
+	blockRetryFn   func(any)
+
 	// Pooled carriers for the allocation reclaim-retry loop and the
 	// dirty-throttle loop (both can poll many times under pressure).
 	allocFn      func(any)
@@ -421,6 +443,8 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	mm.SetOSFaultHandler(k.handleFault)
 	mm.DispatchHW = cfg.Scheme == HWDP
 	k.kexecFn = k.runKexec
+	k.blockTimeoutFn = func(a any) { k.blockTimeout(a.(*osPending)) }
+	k.blockRetryFn = func(a any) { k.submitIO(a.(*osPending)) }
 	k.allocFn = k.runAllocRetry
 	k.throttleFn = k.runThrottle
 	if cfg.DirtyRatioFrac > 0 {
@@ -678,8 +702,9 @@ func (k *Kernel) osInterrupt(q *osQueue, _ nvme.Completion) {
 		p := q.pending[cp.CID]
 		delete(q.pending, cp.CID)
 		if p != nil {
-			p.timeout.Cancel()
-			p.done(cp.Status)
+			k.eng.Cancel(p.timeout)
+			p.timeout = nil
+			k.ioDone(p, cp.Status)
 		}
 	}
 	k.drainParked(q)
@@ -729,42 +754,43 @@ func (k *Kernel) dropParked(q *osQueue, cid uint16) {
 	}
 }
 
-// submitIO issues a read or write on the caller's OS queue pair. done runs
-// at completion-interrupt time with the completion status (callers charge
-// completion costs). When Config.BlockTimeout is set and no completion
-// arrives in time, the command is aborted and done receives the
-// host-synthesized StatusHostTimeout.
-func (k *Kernel) submitIO(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
+// submitIORetry issues a read or write on the caller's OS queue pair and
+// resubmits on retryable failures (transient media errors, timeouts) with a
+// doubling delay, up to Config.BlockRetries resubmissions. done runs at
+// completion-interrupt time with the final status (callers charge
+// completion costs) — retries are invisible to the caller except as
+// latency.
+func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
 	frame mem.FrameID, ms *trace.Miss, done func(status uint16)) {
-	q := k.osQueueFor(st, hw)
+	p := k.getOSPending()
+	p.st, p.hw, p.op, p.lba, p.frame, p.ms, p.done = st, hw, op, lba, frame, ms, done
+	p.attempt = 1
+	k.submitIO(p)
+}
+
+// submitIO issues p's current attempt. Config.BlockTimeout (10 ms by
+// default) arms a watchdog on every OS I/O: when no completion arrives in
+// time, the command is aborted and the attempt ends with the
+// host-synthesized StatusHostTimeout. Completion cancels the watchdog.
+func (k *Kernel) submitIO(p *osPending) {
+	q := k.osQueueFor(p.st, p.hw)
 	cid := q.nextCID
 	q.nextCID++
-	p := &osPending{done: done}
+	p.q, p.cid = q, cid
 	q.pending[cid] = p
 	if k.cfg.BlockTimeout > 0 {
-		// The watchdog needs the cancelable handle (canceled on normal
-		// completion), and arming is gated on the fault-injection
-		// BlockTimeout knob — off on the steady-state path.
-		//hwdp:ignore eventcapture cancelable watchdog, armed only when the fault-injection BlockTimeout knob is set
-		p.timeout = k.eng.After(k.cfg.BlockTimeout, func() {
-			if q.pending[cid] != p {
-				return
-			}
-			delete(q.pending, cid)
-			k.dropParked(q, cid)
-			st.dev.Abort(q.qp.ID, cid)
-			k.stats.BlockTimeouts++
-			ms.Mark(trace.LayerKernel, "block-timeout", k.eng.Now())
-			done(nvme.StatusHostTimeout)
-		})
+		// Pooled handle: blockTimeout nils p.timeout as its first action
+		// and osInterrupt nils it right after Cancel, so the handle never
+		// outlives the event.
+		p.timeout = k.eng.AtArgPooled(k.eng.Now()+k.cfg.BlockTimeout, k.blockTimeoutFn, p)
 	}
 	cmd := nvme.Command{
-		Opcode: op,
+		Opcode: p.op,
 		CID:    cid,
-		NSID:   st.fsys.NSID(),
-		PRP1:   uint64(frame) * mem.PageSize,
-		SLBA:   lba,
-		Trace:  ms,
+		NSID:   p.st.fsys.NSID(),
+		PRP1:   uint64(p.frame) * mem.PageSize,
+		SLBA:   p.lba,
+		Trace:  p.ms,
 	}
 	if err := q.qp.Submit(cmd); err != nil {
 		// Submission queue full (I/O storm): park the command instead of
@@ -779,30 +805,57 @@ func (k *Kernel) submitIO(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uin
 	k.ringOS(q)
 }
 
-// submitIORetry issues an I/O through submitIO and resubmits on retryable
-// failures (transient media errors, timeouts) with a doubling delay, up to
-// Config.BlockRetries resubmissions. done receives the final status —
-// retries are invisible to the caller except as latency.
-func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
-	frame mem.FrameID, ms *trace.Miss, done func(status uint16)) {
-	attempt := 1
-	var try func()
-	try = func() {
-		k.submitIO(st, hw, op, lba, frame, ms, func(status uint16) {
-			if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
-				attempt > k.cfg.BlockRetries {
-				done(status)
-				return
-			}
-			k.stats.BlockRetries++
-			delay := k.cfg.BlockRetryDelay << (attempt - 1)
-			attempt++
-			now := k.eng.Now()
-			ms.AddSpan(trace.LayerKernel, "block-retry-backoff", now, now+delay)
-			k.eng.Post(delay, try)
-		})
+// blockTimeout fires when p's current attempt got no completion within
+// Config.BlockTimeout: it drops the command (parked or on the device) and
+// ends the attempt with StatusHostTimeout.
+func (k *Kernel) blockTimeout(p *osPending) {
+	p.timeout = nil
+	q, cid := p.q, p.cid
+	if q.pending[cid] != p {
+		return
 	}
-	try()
+	delete(q.pending, cid)
+	k.dropParked(q, cid)
+	p.st.dev.Abort(q.qp.ID, cid)
+	k.stats.BlockTimeouts++
+	p.ms.Mark(trace.LayerKernel, "block-timeout", k.eng.Now())
+	k.ioDone(p, nvme.StatusHostTimeout)
+}
+
+// ioDone ends p's current attempt with status: a retryable failure within
+// the retry budget is resubmitted after the backoff; anything else
+// releases p and hands the status to the caller.
+func (k *Kernel) ioDone(p *osPending, status uint16) {
+	if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
+		p.attempt > k.cfg.BlockRetries {
+		done := p.done
+		k.putOSPending(p)
+		done(status)
+		return
+	}
+	k.stats.BlockRetries++
+	delay := k.cfg.BlockRetryDelay << (p.attempt - 1)
+	p.attempt++
+	now := k.eng.Now()
+	p.ms.AddSpan(trace.LayerKernel, "block-retry-backoff", now, now+delay)
+	k.eng.PostArg(delay, k.blockRetryFn, p)
+}
+
+//hwdp:pool acquire ospending
+func (k *Kernel) getOSPending() *osPending {
+	if n := len(k.osPendPool); n > 0 {
+		p := k.osPendPool[n-1]
+		k.osPendPool[n-1] = nil
+		k.osPendPool = k.osPendPool[:n-1]
+		return p
+	}
+	return &osPending{}
+}
+
+//hwdp:pool release ospending
+func (k *Kernel) putOSPending(p *osPending) {
+	*p = osPending{}
+	k.osPendPool = append(k.osPendPool, p)
 }
 
 func (k *Kernel) storageFor(b pagetable.BlockAddr) *storage {

@@ -40,27 +40,25 @@ func (k *Kernel) accessNow(th *Thread, va pagetable.VAddr, write bool, done func
 		// stall budget.
 		//hwdp:ignore eventcapture cancelable stall watchdog sharing state with the completion callback; fires only past the stall budget
 		tev = k.eng.After(k.cfg.StallTimeout, func() {
-			if th.stallEnd == nil {
+			if !th.stalled {
 				return // the miss moved into a kernel path; not a pure stall
 			}
 			timedOut = true
 			k.stats.StallTimeouts++
-			th.endStall()
+			th.endStall(k)
 			th.HW.AccountContextSwitch()
 			k.kexec(th.HW, k.cfg.Costs.Exception+k.cfg.Costs.CtxSwitchOut, func() {})
 		})
 	}
 	k.mmu.Access(th.Proc.AS, va, write, th, func(r mmu.Result) {
-		if tev != nil {
-			tev.Cancel()
-		}
+		k.eng.Cancel(tev)
 		if timedOut {
 			// The completion wakes the blocked thread like an OSDP fault.
 			th.HW.AccountContextSwitch()
 			k.kexec(th.HW, k.cfg.Costs.WakeSchedule, func() { done(r) })
 			return
 		}
-		th.endStall()
+		th.endStall(k)
 		done(r)
 	})
 }

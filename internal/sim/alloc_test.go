@@ -85,7 +85,7 @@ func TestAtArgPooledCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	ev := e.AtArgPooled(10, func(any) { fired = true }, nil)
-	ev.Cancel()
+	e.Cancel(ev)
 	ev = nil // holder discipline: drop the handle immediately after Cancel
 	e.Run()
 	if fired {
@@ -111,23 +111,44 @@ func TestPooledEventRecycledAfterFire(t *testing.T) {
 	}
 }
 
-func TestCanceledPooledEventRecycledLazily(t *testing.T) {
-	// A canceled pooled event stays in the queue (Cancel is O(1)) and is
-	// recycled when the queue reaches it — without invoking the callback.
+func TestCanceledPooledEventRecycledEagerly(t *testing.T) {
+	// Cancel takes a pooled event out of the queue at once and recycles its
+	// storage: the next pooled schedule reuses it, and the canceled
+	// callback never runs.
 	e := NewEngine()
 	fired := 0
 	ev := e.AtArgPooled(10, func(any) { fired++ }, nil)
-	ev.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (lazy collection)", e.Pending())
+	e.Cancel(ev)
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Cancel, want 0", e.Pending())
 	}
-	e.Post(20, func() {})
+	n := 0
+	if ev2 := e.AtArgPooled(20, func(any) { n++ }, nil); ev2 != ev {
+		t.Fatal("canceled pooled event storage was not reused")
+	}
 	e.Run()
 	if fired != 0 {
 		t.Fatal("canceled event fired")
 	}
+	if n != 1 {
+		t.Fatalf("reusing event fired %d times, want 1", n)
+	}
+}
+
+func TestAtArgPooledCancelAllocationBudget(t *testing.T) {
+	// The block-layer watchdog pattern: arm a pooled timeout, then cancel
+	// it before it fires.
+	e := NewEngine()
+	fn := func(any) {}
+	got := testing.AllocsPerRun(1000, func() {
+		ev := e.AtArgPooled(e.Now()+10, fn, nil)
+		e.Cancel(ev)
+	})
+	if got != 0 {
+		t.Fatalf("AtArgPooled+Cancel allocates %.1f objects/op, want 0", got)
+	}
 	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", e.Pending())
+		t.Fatalf("pending = %d, want 0", e.Pending())
 	}
 }
 
@@ -142,7 +163,7 @@ func TestHandleEventsNeverRecycled(t *testing.T) {
 		t.Fatal("handle event storage was recycled")
 	}
 	// Late cancel on the fired event must be harmless.
-	ev1.Cancel()
+	e.Cancel(ev1)
 	fired := false
 	e.After(5, func() { fired = true })
 	e.Run()
@@ -151,15 +172,15 @@ func TestHandleEventsNeverRecycled(t *testing.T) {
 	}
 }
 
-func TestRunUntilCollectsDeadRoots(t *testing.T) {
-	// Dead events past the deadline are collected instead of blocking the
-	// deadline check forever.
+func TestRunUntilPastCanceledRoot(t *testing.T) {
+	// A canceled event past the deadline leaves the queue empty, so
+	// RunUntil advances the clock to the deadline.
 	e := NewEngine()
 	ev := e.AtArgPooled(100, func(any) {}, nil)
-	ev.Cancel()
+	e.Cancel(ev)
 	e.RunUntil(50)
 	if e.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 (dead root past deadline collected)", e.Pending())
+		t.Fatalf("pending = %d, want 0 (canceled root left the queue)", e.Pending())
 	}
 	if e.Now() != 50 {
 		t.Fatalf("now = %d, want 50", e.Now())

@@ -4,11 +4,11 @@ package sim
 // they were scheduled (stable FIFO tie-break), which keeps runs
 // deterministic.
 //
-// Events created by At/After are caller-visible handles (Cancel/Pending)
-// and live until the garbage collector takes them. Events created by the
-// Post* family never escape the engine, so they are recycled through an
-// internal free list: steady-state scheduling on the hot path performs no
-// allocations.
+// Events created by At/After are caller-visible handles (Engine.Cancel,
+// Pending) and live until the garbage collector takes them. Events created
+// by the Post* family never escape the engine, so they are recycled through
+// an internal free list: steady-state scheduling on the hot path performs
+// no allocations.
 type Event struct {
 	at  Time
 	seq uint64
@@ -21,21 +21,14 @@ type Event struct {
 	afn func(any)
 	arg any
 
+	// idx is the event's position in the queue, or -1 once it has fired,
+	// been canceled or been recycled.
 	idx    int
-	dead   bool
 	pooled bool
 }
 
-// Cancel prevents a pending event from firing. Canceling an event that has
-// already fired (or was already canceled) is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
-	}
-}
-
 // Pending reports whether the event is still scheduled to fire.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.idx >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
 
 // Engine is a single-threaded discrete-event simulator. It owns the virtual
 // clock; all model components schedule work on it and must only be touched
@@ -86,8 +79,9 @@ func (e *Engine) alloc() *Event {
 	return &Event{}
 }
 
-// recycle clears a pooled event and returns it to the free list. Handle
-// events (At/After) are not recycled: the caller may hold the pointer
+// recycle clears a pooled event and returns it to the free list; idx -1
+// makes a stale Cancel on the free-listed storage a no-op. Handle events
+// (At/After) are not recycled: the caller may hold the pointer
 // indefinitely, and reusing it would let a stale Cancel kill an unrelated
 // event.
 //
@@ -96,7 +90,7 @@ func (e *Engine) recycle(ev *Event) {
 	if !ev.pooled {
 		return
 	}
-	*ev = Event{pooled: true}
+	*ev = Event{idx: -1, pooled: true}
 	e.free = append(e.free, ev)
 }
 
@@ -138,10 +132,11 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 }
 
 // AtArgPooled is AtArg with engine-recycled storage: the returned handle is
-// valid only until the event fires or its cancellation is collected, after
-// which the engine reuses the Event for a future Post*/pooled call. The
-// caller must drop the handle when the callback runs and immediately after
-// Cancel; retaining it past either point aliases an unrelated event.
+// valid only until the event fires or is canceled; the engine reuses the
+// Event's storage for a future Post*/pooled call at that moment (before the
+// callback runs, or inside Cancel). The caller must drop the handle when
+// the callback runs and immediately after Cancel; retaining it past either
+// point aliases an unrelated event.
 // Model components use it for per-operation timeouts and completions whose
 // holder discipline guarantees exactly that (the handle lives in a record
 // that is itself reset at fire/cancel time).
@@ -198,29 +193,25 @@ func (e *Engine) PostArg(d Time, fn func(any), arg any) {
 //
 //hwdp:hotpath
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		if e.obs != nil {
-			e.obs(ev.at)
-		}
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		// Recycle before the callback runs so the callback's own scheduling
-		// can reuse the slot.
-		e.recycle(ev)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.remove(0)
+	e.now = ev.at
+	e.fired++
+	if e.obs != nil {
+		e.obs(ev.at)
+	}
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	// Recycle before the callback runs so the callback's own scheduling
+	// can reuse the slot.
+	e.recycle(ev)
+	if afn != nil {
+		afn(arg)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run fires events until the queue drains.
@@ -233,19 +224,8 @@ func (e *Engine) Run() {
 // deadline. Events scheduled exactly at deadline still fire. It returns the
 // clock value on exit.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 {
-		// Peek: the root is the earliest event, but it may be dead; Step
-		// handles skipping, so pre-check only live roots.
-		if e.queue[0].at > deadline {
-			if e.queue[0].dead {
-				e.recycle(e.pop())
-				continue
-			}
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		e.Step()
 	}
 	if e.now < deadline && len(e.queue) == 0 {
 		e.now = deadline
@@ -253,9 +233,23 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Pending returns the number of events in the queue, including canceled
-// events not yet collected.
+// Pending returns the number of events in the queue. Canceled events are
+// not counted: Cancel takes them out at once.
 func (e *Engine) Pending() int { return len(e.queue) }
+
+// Cancel takes a pending event out of the queue so it never fires, in
+// O(log n) through the index the heap keeps. A pooled event's storage is
+// reused at once, so its holder must drop the handle right after Cancel.
+// Canceling nil, or an event that has already fired or been canceled, is a
+// no-op.
+//
+//hwdp:hotpath
+func (e *Engine) Cancel(ev *Event) {
+	if ev == nil || ev.idx < 0 {
+		return
+	}
+	e.recycle(e.remove(ev.idx))
+}
 
 // less orders events by time, then schedule order. (at, seq) is a strict
 // total order — seq is unique — so any heap yields the same pop sequence
@@ -267,20 +261,26 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// pop removes and returns the heap root.
-func (e *Engine) pop() *Event {
-	root := e.queue[0]
-	root.idx = -1
+// remove takes the event at heap index i out of the queue and returns it:
+// the last leaf fills the hole and sifts whichever way restores the heap
+// (always down for the root).
+func (e *Engine) remove(i int) *Event {
+	ev := e.queue[i]
+	ev.idx = -1
 	n := len(e.queue) - 1
 	last := e.queue[n]
 	e.queue[n] = nil
 	e.queue = e.queue[:n]
-	if n > 0 {
-		e.queue[0] = last
-		last.idx = 0
-		e.siftDown(0)
+	if i < n {
+		e.queue[i] = last
+		last.idx = i
+		if i > 0 && less(last, e.queue[(i-1)>>2]) {
+			e.siftUp(i)
+		} else {
+			e.siftDown(i)
+		}
 	}
-	return root
+	return ev
 }
 
 // siftUp restores the heap property from index i toward the root.

@@ -109,12 +109,16 @@ func TestEngineCancel(t *testing.T) {
 	if !ev.Pending() {
 		t.Fatal("event should be pending")
 	}
-	ev.Cancel()
+	e.Cancel(ev)
+	if ev.Pending() {
+		t.Fatal("canceled event still pending")
+	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	ev.Cancel() // double-cancel is a no-op
+	e.Cancel(ev) // double-cancel is a no-op
+	e.Cancel(nil)
 }
 
 func TestEnginePastSchedulingClamps(t *testing.T) {

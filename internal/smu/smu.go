@@ -893,7 +893,7 @@ func (s *SMU) cqHandle(dev *devSlot) {
 	}
 	e.req.Trace.AddSpan(trace.LayerNVMe, "cq-handle", snoopAt, s.eng.Now())
 	if e.timeout != nil {
-		e.timeout.Cancel()
+		s.eng.Cancel(e.timeout)
 		e.timeout = nil
 	}
 	if !cp.OK() {
@@ -945,7 +945,7 @@ func (s *SMU) ptUpdate(e *pmshrEntry) {
 //hwdp:hotpath
 func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 	if e.timeout != nil {
-		e.timeout.Cancel()
+		s.eng.Cancel(e.timeout)
 		e.timeout = nil
 	}
 	s.slots[e.idx] = nil

@@ -494,7 +494,7 @@ func (d *Device) Abort(qid, cid uint16) bool {
 	if !ok {
 		return false
 	}
-	fl.ev.Cancel()
+	d.eng.Cancel(fl.ev)
 	delete(d.inflight, key)
 	if fl.ch != nil {
 		if fl.isWrite {
