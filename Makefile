@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-short bench-go sweep-check chaos-short ssd-check fleet-check docs-check fmt lint check
+.PHONY: all build perfbench-vet test race bench bench-short bench-go sweep-check chaos-short ssd-check fleet-check docs-check fmt lint check
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# perfbench-vet type-checks the separate perfbench module, which the root
+# `go build ./...` never compiles, so an internal API change cannot break
+# the benchmark unnoticed. (vet, not build: `go build ./...` there would
+# write a perfbench binary into the tree.)
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -73,7 +80,7 @@ fmt:
 
 # lint runs the stock go vet analyzers plus the repo's own hwdplint suite
 # (determinism, pool pairing, sim-time units, hot-path closure captures,
-# status-switch exhaustiveness, and the interprocedural hotalloc/laneescape
+# status-switch exhaustiveness, and the interprocedural hotalloc/sharedstate
 # proofs over per-package callgraph facts). See docs/ANALYSIS.md for the
 # analyzers and the //hwdp:ignore syntax. The wall-clock budget keeps the
 # fact-driven vettool pass honest: blowing it means facts stopped caching
@@ -100,4 +107,4 @@ docs-check:
 	fi
 	$(GO) run ./cmd/docscheck
 
-check: build lint test docs-check
+check: build perfbench-vet lint test docs-check

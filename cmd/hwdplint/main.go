@@ -1,6 +1,6 @@
 // Command hwdplint runs the repo's analyzer suite (simdeterminism,
-// lanesafety, laneescape, poolpair, simtime, eventcapture, hotalloc,
-// statuscase — see docs/ANALYSIS.md).
+// sharedstate, poolpair, simtime, eventcapture, hotalloc, statuscase —
+// see docs/ANALYSIS.md).
 //
 // It speaks the `go vet -vettool` protocol, so the canonical invocation is
 //
@@ -11,7 +11,7 @@
 // tool once per package in dependency order; hwdplint writes each
 // package's callgraph summary to the facts file the go command names
 // (vet.cfg VetxOutput) and reads its dependencies' summaries back
-// (PackageVetx), giving the interprocedural analyzers (laneescape,
+// (PackageVetx), giving the interprocedural analyzers (sharedstate,
 // hotalloc) cross-package reach with full incremental caching. Invoked
 // with package patterns instead, it loads the packages itself and threads
 // the facts in-process:

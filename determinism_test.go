@@ -32,7 +32,7 @@ func goldenStream(t *testing.T) []byte {
 	for _, s := range []Scheme{OSDP, SWOnly, HWDP} {
 		cfg := det(s)
 		cfg.Trace = true
-		sys := New(cfg)
+		sys := newSys(t, cfg)
 		res, err := sys.RunFIO(2, 250, 4096)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // fold the pin was first taken with.
 func eventStreamDigest(t *testing.T) string {
 	t.Helper()
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	h := sha256.New()
 	var scratch [8]byte
 	sys.Raw().Eng.SetObserver(func(at Duration) {

@@ -13,7 +13,10 @@ import (
 
 func Example_schemes() {
 	for _, scheme := range []hwdp.Scheme{hwdp.OSDP, hwdp.SWOnly, hwdp.HWDP} {
-		sys := hwdp.New(hwdp.Config{Scheme: scheme, MemoryMB: 16, Deterministic: true})
+		sys, err := hwdp.New(hwdp.Config{Scheme: scheme, MemoryMB: 16, Deterministic: true})
+		if err != nil {
+			panic(err)
+		}
 		lat, err := sys.ColdPageLatency()
 		if err != nil {
 			panic(err)
@@ -28,9 +31,12 @@ func Example_schemes() {
 
 func Example_devices() {
 	for _, dev := range []hwdp.Device{hwdp.ZSSD, hwdp.OptaneSSD, hwdp.OptaneDCPMM} {
-		sys := hwdp.New(hwdp.Config{
+		sys, err := hwdp.New(hwdp.Config{
 			Scheme: hwdp.HWDP, Device: dev, MemoryMB: 16, Deterministic: true,
 		})
+		if err != nil {
+			panic(err)
+		}
 		lat, err := sys.ColdPageLatency()
 		if err != nil {
 			panic(err)
@@ -44,7 +50,10 @@ func Example_devices() {
 }
 
 func ExampleSystem_CreateStore() {
-	sys := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP, MemoryMB: 16, Deterministic: true})
+	sys, err := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP, MemoryMB: 16, Deterministic: true})
+	if err != nil {
+		panic(err)
+	}
 	db, err := sys.CreateStore("records", 1024)
 	if err != nil {
 		panic(err)
@@ -62,7 +71,10 @@ func ExampleSystem_CreateStore() {
 }
 
 func ExampleSystem_MmapAnon() {
-	sys := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP, MemoryMB: 16, Deterministic: true})
+	sys, err := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP, MemoryMB: 16, Deterministic: true})
+	if err != nil {
+		panic(err)
+	}
 	heap, err := sys.MmapAnon(32)
 	if err != nil {
 		panic(err)

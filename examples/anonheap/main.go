@@ -26,7 +26,10 @@ func run(scheme kernel.Scheme) (elapsed sim.Time, zeroFills, swapIns uint64, ok 
 	cfg := core.DefaultConfig(scheme)
 	cfg.MemoryBytes = memMB << 20
 	cfg.Seed = 11
-	sys := cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		panic(err)
+	}
 	va, err := sys.K.MmapAnon(sys.Proc, 0, 0, heapPages,
 		pagetable.Prot{Write: true, User: true}, true)
 	if err != nil {

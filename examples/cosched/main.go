@@ -28,7 +28,10 @@ func main() {
 		cfg := core.DefaultConfig(scheme)
 		cfg.MemoryBytes = 32 << 20
 		cfg.Seed = 3
-		sys := cfg.Build()
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			panic(err)
+		}
 		fio, err := workload.SetupFIO(sys, "fio.dat", 16384, sys.FastFlags())
 		if err != nil {
 			panic(err)

@@ -42,7 +42,10 @@ func bfs(scheme kernel.Scheme) (visited int, elapsed sim.Time, faults uint64) {
 	cfg := core.DefaultConfig(scheme)
 	cfg.MemoryBytes = memoryMB << 20
 	cfg.Seed = 7
-	sys := cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		panic(err)
+	}
 	base, _, err := sys.MapFile("graph.adj", vertices, adjInit, sys.FastFlags())
 	if err != nil {
 		panic(err)

@@ -22,7 +22,10 @@ func main() {
 		keys, threads)
 
 	run := func(scheme hwdp.Scheme) hwdp.YCSBResult {
-		sys := hwdp.New(hwdp.Config{Scheme: scheme, MemoryMB: memMB, Seed: 42})
+		sys, err := hwdp.New(hwdp.Config{Scheme: scheme, MemoryMB: memMB, Seed: 42})
+		if err != nil {
+			panic(err)
+		}
 		res, err := sys.RunYCSB('C', threads, ops, keys)
 		if err != nil {
 			panic(err)

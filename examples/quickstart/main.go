@@ -13,11 +13,14 @@ func main() {
 	fmt.Println("One cold 4 KiB page miss on a Z-SSD, by demand-paging scheme:")
 	var osdp, hw hwdp.Duration
 	for _, scheme := range []hwdp.Scheme{hwdp.OSDP, hwdp.SWOnly, hwdp.HWDP} {
-		sys := hwdp.New(hwdp.Config{
+		sys, err := hwdp.New(hwdp.Config{
 			Scheme:        scheme,
 			MemoryMB:      32,
 			Deterministic: true, // exact component latencies
 		})
+		if err != nil {
+			panic(err)
+		}
 		lat, err := sys.ColdPageLatency()
 		if err != nil {
 			panic(err)

@@ -16,7 +16,7 @@ func TestFaultyDeviceWorkloadCompletes(t *testing.T) {
 		FaultRule{Kind: FaultTransient, Prob: 0.1},
 		FaultRule{Kind: FaultSpike, Prob: 0.02, SpikeFactor: 5},
 	)
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	res, err := sys.RunFIO(2, 300, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestSMUPathOnlyFaultsDegradeToOS(t *testing.T) {
 	// 100% retryable failures on the hardware path only: every HW miss
 	// must degrade to the OS fallback — slower, but never stuck and never
 	// fatal.
-	sys := New(faultyCfg(FaultRule{Kind: FaultTransient, Prob: 1, SMUPathOnly: true}))
+	sys := newSys(t, faultyCfg(FaultRule{Kind: FaultTransient, Prob: 1, SMUPathOnly: true}))
 	res, err := sys.RunFIO(2, 200, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestSMUPathOnlyFaultsDegradeToOS(t *testing.T) {
 func TestDropRecoveryNeedsSMUTimeout(t *testing.T) {
 	cfg := faultyCfg(FaultRule{Kind: FaultDrop, Prob: 0.05, SMUPathOnly: true, MaxInjections: 4})
 	cfg.SMUCmdTimeoutUS = 200
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	if _, err := sys.RunFIO(2, 200, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDropRecoveryNeedsSMUTimeout(t *testing.T) {
 }
 
 func TestRecoveryReportRendering(t *testing.T) {
-	sys := New(faultyCfg(FaultRule{Kind: FaultTransient, Prob: 0.2}))
+	sys := newSys(t, faultyCfg(FaultRule{Kind: FaultTransient, Prob: 0.2}))
 	if _, err := sys.RunFIO(1, 150, 2048); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 			FaultRule{Kind: FaultSpike, Prob: 0.05},
 		)
 		cfg.SMUCmdTimeoutUS = 500
-		sys := New(cfg)
+		sys := newSys(t, cfg)
 		res, err := sys.RunFIO(2, 250, 4096)
 		if err != nil {
 			t.Fatal(err)

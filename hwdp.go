@@ -16,7 +16,7 @@
 //
 // Quickstart:
 //
-//	sys := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP})
+//	sys, _ := hwdp.New(hwdp.Config{Scheme: hwdp.HWDP})
 //	lat, _ := sys.ColdPageLatency()
 //	fmt.Println("one hardware-handled page miss:", lat)
 //
@@ -131,12 +131,10 @@ type Config struct {
 	// followed through MMU → SMU → NVMe → SSD and the kernel exception
 	// path, and the System exposes WriteTrace (Chrome trace JSON),
 	// BreakdownReport (critical-path attribution) and FlightDump
-	// (flight-recorder postmortems). Off by default; when off, the miss
-	// path does no tracing work and performs no allocations for it.
+	// (flight-recorder postmortems of the last 64 misses). Off by default;
+	// when off, the miss path does no tracing work and performs no
+	// allocations for it.
 	Trace bool
-	// TraceRing sets the flight-recorder depth in misses (0 picks the
-	// default of 64). Only meaningful with Trace enabled.
-	TraceRing int
 }
 
 // FaultKind classifies an injected device fault.
@@ -203,8 +201,9 @@ type System struct {
 	sys *core.System
 }
 
-// New builds and boots a machine.
-func New(cfg Config) *System {
+// New builds and boots a machine, or reports why the config cannot
+// describe one (for example, fewer than 2 cores).
+func New(cfg Config) (*System, error) {
 	c := core.DefaultConfig(cfg.Scheme.kernel())
 	if cfg.MemoryMB > 0 {
 		c.MemoryBytes = uint64(cfg.MemoryMB) << 20
@@ -232,8 +231,11 @@ func New(cfg Config) *System {
 		c.SMURetry = &p
 	}
 	c.TraceEnabled = cfg.Trace
-	c.TraceRing = cfg.TraceRing
-	return &System{sys: c.Build()}
+	sys, err := core.NewSystem(c)
+	if err != nil {
+		return nil, err
+	}
+	return &System{sys: sys}, nil
 }
 
 // Raw exposes the underlying machine for advanced use.

@@ -1,6 +1,7 @@
 package hwdp
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -8,10 +9,32 @@ func det(scheme Scheme) Config {
 	return Config{Scheme: scheme, MemoryMB: 16, Cores: 4, Deterministic: true, Seed: 7}
 }
 
+// newSys builds a machine, failing the test on an invalid config.
+func newSys(t *testing.T, cfg Config) *System {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestNewRejectsBadConfig checks that an invalid machine description comes
+// back as an error from New, not as a panic.
+func TestNewRejectsBadConfig(t *testing.T) {
+	sys, err := New(Config{Cores: 1})
+	if err == nil || sys != nil {
+		t.Fatalf("New(Cores: 1) = %v, %v; want nil system and an error", sys, err)
+	}
+	if !strings.Contains(err.Error(), "at least 2 physical cores") {
+		t.Errorf("error %q does not name the core minimum", err)
+	}
+}
+
 func TestColdPageLatencyOrdering(t *testing.T) {
 	var lats [3]Duration
 	for i, s := range []Scheme{HWDP, SWOnly, OSDP} {
-		sys := New(det(s))
+		sys := newSys(t, det(s))
 		lat, err := sys.ColdPageLatency()
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +62,7 @@ func TestDeviceLatencyScales(t *testing.T) {
 	for _, d := range []Device{OptaneDCPMM, OptaneSSD, ZSSD} {
 		cfg := det(HWDP)
 		cfg.Device = d
-		lat, err := New(cfg).ColdPageLatency()
+		lat, err := newSys(t, cfg).ColdPageLatency()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +74,7 @@ func TestDeviceLatencyScales(t *testing.T) {
 }
 
 func TestRunFIO(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	res, err := sys.RunFIO(2, 200, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +100,7 @@ func TestRunFIO(t *testing.T) {
 }
 
 func TestRunFIOOSDPContextSwitches(t *testing.T) {
-	sys := New(det(OSDP))
+	sys := newSys(t, det(OSDP))
 	res, err := sys.RunFIO(1, 100, 2048)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +114,7 @@ func TestRunFIOOSDPContextSwitches(t *testing.T) {
 }
 
 func TestStoreSyncAPI(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	st, err := sys.CreateStore("db", 512)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +146,7 @@ func TestStoreSyncAPI(t *testing.T) {
 }
 
 func TestRunYCSB(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	res, err := sys.RunYCSB('C', 2, 150, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +160,7 @@ func TestRunYCSB(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	if _, err := sys.RunFIO(1, 150, 2048); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +174,7 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 func TestRunForAdvancesTime(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	t0 := sys.Now()
 	sys.RunFor(5 * 1_000_000_000) // 5 ms in picoseconds
 	if sys.Now() <= t0 {
@@ -160,7 +183,7 @@ func TestRunForAdvancesTime(t *testing.T) {
 }
 
 func TestAnonRegionAPI(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	region, err := sys.MmapAnon(64)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +226,7 @@ func TestAnonRegionAPI(t *testing.T) {
 func TestFacadePrefetchConfig(t *testing.T) {
 	cfg := det(HWDP)
 	cfg.PrefetchDegree = 2
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	if _, err := sys.RunFIO(1, 100, 2048); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +238,7 @@ func TestFacadePrefetchConfig(t *testing.T) {
 func TestFacadeStallTimeout(t *testing.T) {
 	cfg := det(HWDP)
 	cfg.StallTimeoutUS = 1 // absurdly tight: every Z-SSD miss times out
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	if _, err := sys.ColdPageLatency(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +250,7 @@ func TestFacadeStallTimeout(t *testing.T) {
 func TestFacadeLogStructuredFS(t *testing.T) {
 	cfg := det(HWDP)
 	cfg.LogStructuredFS = true
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	st, err := sys.CreateStore("lfs-db", 256)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +265,7 @@ func TestFacadeLogStructuredFS(t *testing.T) {
 }
 
 func TestCheckInvariantsAfterWorkload(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	if _, err := sys.RunFIO(2, 300, 4096); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 // the resulting diagnostics against the fixture's `// want` expectations.
 // Callgraph facts are threaded exactly as in a real run: the fixture's
 // hwdp/... imports are summarized dependency-first into a shared registry
-// before the fixture itself, so the interprocedural analyzers (laneescape,
+// before the fixture itself, so the interprocedural analyzers (sharedstate,
 // hotalloc) see cross-package reachability inside testdata too.
 func Run(t *testing.T, testdata, pkgpath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()

@@ -49,11 +49,12 @@ const Version = 1
 
 // Atom is one interprocedurally-relevant site inside a function: a
 // potential heap allocation (Analyzer "hotalloc") or an operation on
-// state shared between concurrent simulations (Analyzer "laneescape"). Atoms waived with //hwdp:ignore at
-// their own line never enter the summary.
+// state shared between concurrent simulations (Analyzer "sharedstate").
+// Atoms waived with //hwdp:ignore at their own line never enter the
+// summary.
 type Atom struct {
 	// Analyzer names the check the atom feeds ("hotalloc" or
-	// "laneescape").
+	// "sharedstate").
 	Analyzer string
 	// Kind is a stable short tag for the site class (e.g. "append",
 	// "box", "pkgwrite").
@@ -91,7 +92,7 @@ type FuncFacts struct {
 	// Hot marks a //hwdp:hotpath root for the hotalloc analyzer.
 	Hot bool `json:",omitempty"`
 	// Cold holds the //hwdp:coldpath reason; hotalloc stops descending
-	// into cold functions (laneescape does not: cold code still runs
+	// into cold functions (sharedstate does not: cold code still runs
 	// concurrently with other simulations).
 	Cold string `json:",omitempty"`
 }

@@ -34,7 +34,7 @@ const (
 //
 // Non-module packages get an empty summary: the walk treats them as
 // opaque, and allocating stdlib calls are recorded as atoms at the caller.
-// Sites covered by a //hwdp:ignore hotalloc/laneescape comment are dropped
+// Sites covered by a //hwdp:ignore hotalloc/sharedstate comment are dropped
 // here — in the defining package, where the waiver can sit next to the
 // code it excuses — and the waiver is marked used for the stale check.
 func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
@@ -47,15 +47,7 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 	if !strings.HasPrefix(path, "hwdp") {
 		return pf
 	}
-	s := &summarizer{
-		u:   u,
-		pf:  pf,
-		pkg: path,
-		// laneescape atoms are collected only outside the hot-path
-		// packages: inside them, lanesafety already reports the same
-		// sites locally.
-		laneAtoms: !analysis.IsHotPathPkg(path),
-	}
+	s := &summarizer{u: u, pf: pf, pkg: path}
 	for _, f := range u.Files {
 		if strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
@@ -198,10 +190,9 @@ var allocPkgs = map[string]map[string]bool{
 
 // summarizer walks one package's function bodies.
 type summarizer struct {
-	u         *analysis.Unit
-	pf        *PkgFacts
-	pkg       string
-	laneAtoms bool
+	u   *analysis.Unit
+	pf  *PkgFacts
+	pkg string
 }
 
 // walkFunc summarizes one function body into ff. poolFn suppresses
@@ -293,15 +284,6 @@ func (w *funcWalker) allocAtom(kind string, pos token.Pos, format string, args .
 	w.atom("hotalloc", kind, pos, format, args...)
 }
 
-// laneAtom records a laneescape atom (collected only outside hot-path
-// packages, where lanesafety does not look).
-func (w *funcWalker) laneAtom(kind string, pos token.Pos, format string, args ...any) {
-	if !w.s.laneAtoms {
-		return
-	}
-	w.atom("laneescape", kind, pos, format, args...)
-}
-
 // edge records one outgoing edge.
 func (w *funcWalker) edge(kind, target string, pos token.Pos) {
 	w.ff.Edges = append(w.ff.Edges, Edge{Kind: kind, Target: target, Pos: w.s.posString(pos), pos: pos})
@@ -331,12 +313,12 @@ func (w *funcWalker) visit(n ast.Node) bool {
 	case *ast.IncDecStmt:
 		w.pkgVarWrite(n.X)
 	case *ast.GoStmt:
-		w.laneAtom("go", n.Pos(), "go statement starts a host-scheduled goroutine")
+		w.atom("sharedstate", "go", n.Pos(), "go statement starts a host-scheduled goroutine")
 	case *ast.SendStmt:
-		w.laneAtom("chansend", n.Pos(), "channel send serializes on the host scheduler, not the virtual clock")
+		w.atom("sharedstate", "chansend", n.Pos(), "channel send serializes on the host scheduler, not the virtual clock")
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW {
-			w.laneAtom("chanrecv", n.Pos(), "channel receive serializes on the host scheduler, not the virtual clock")
+			w.atom("sharedstate", "chanrecv", n.Pos(), "channel receive serializes on the host scheduler, not the virtual clock")
 		}
 		if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
 			w.handled[lit] = true
@@ -390,8 +372,9 @@ func typeLabel(info *types.Info, e ast.Expr) string {
 }
 
 // pkgVarWrite flags an assignment target resolving to a package-level
-// variable, mirroring lanesafety's local check for packages it does not
-// cover.
+// variable (of this or any other package). A selector write (x.f = ...)
+// mutates an object reached through a pointer; which simulation owns it
+// is the components' contract, not statically checkable here.
 func (w *funcWalker) pkgVarWrite(lhs ast.Expr) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
@@ -401,7 +384,7 @@ func (w *funcWalker) pkgVarWrite(lhs ast.Expr) {
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return
 	}
-	w.laneAtom("pkgwrite", lhs.Pos(), "write to package-level variable %s (shared by every simulation in the process)", v.Name())
+	w.atom("sharedstate", "pkgwrite", lhs.Pos(), "write to package-level variable %s (shared by every simulation in the process)", v.Name())
 }
 
 // syncUse flags sync / sync-atomic selector uses.
@@ -412,7 +395,7 @@ func (w *funcWalker) syncUse(sel *ast.SelectorExpr) {
 	}
 	switch obj.Pkg().Path() {
 	case "sync", "sync/atomic":
-		w.laneAtom("sync", sel.Pos(), "%s.%s couples event outcomes to host-scheduler timing", obj.Pkg().Name(), obj.Name())
+		w.atom("sharedstate", "sync", sel.Pos(), "%s.%s couples event outcomes to host-scheduler timing", obj.Pkg().Name(), obj.Name())
 	}
 }
 
@@ -481,7 +464,7 @@ func (w *funcWalker) call(call *ast.CallExpr) {
 					w.allocAtom("make", call.Pos(), "make of map %s allocates", exprLabel(call.Args, 0))
 				case *types.Chan:
 					w.allocAtom("make", call.Pos(), "make of chan %s allocates", exprLabel(call.Args, 0))
-					w.laneAtom("chanmake", call.Pos(), "channel creation in model-reachable code")
+					w.atom("sharedstate", "chanmake", call.Pos(), "channel creation in model-reachable code")
 				}
 			case "append":
 				w.allocAtom("append", call.Pos(), "append may grow the backing array")

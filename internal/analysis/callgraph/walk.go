@@ -52,7 +52,7 @@ type pred struct {
 // of the named analyzer in reach, each with its discovery chain. The walk
 // is breadth-first with edges taken in summary (source) order, so results
 // are deterministic. When honorCold is true (hotalloc), functions carrying
-// a //hwdp:coldpath reason are not entered; laneescape passes false — cold
+// a //hwdp:coldpath reason are not entered; sharedstate passes false — cold
 // code still runs concurrently with other simulations.
 //
 // Unknown targets (standard library, packages outside the registry) are

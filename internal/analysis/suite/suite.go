@@ -11,9 +11,8 @@ import (
 	"hwdp/internal/analysis/callgraph"
 	"hwdp/internal/analysis/eventcapture"
 	"hwdp/internal/analysis/hotalloc"
-	"hwdp/internal/analysis/laneescape"
-	"hwdp/internal/analysis/lanesafety"
 	"hwdp/internal/analysis/poolpair"
+	"hwdp/internal/analysis/sharedstate"
 	"hwdp/internal/analysis/simdeterminism"
 	"hwdp/internal/analysis/simtime"
 	"hwdp/internal/analysis/statuscase"
@@ -22,8 +21,7 @@ import (
 // Analyzers is the full hwdplint suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
-	lanesafety.Analyzer,
-	laneescape.Analyzer,
+	sharedstate.Analyzer,
 	poolpair.Analyzer,
 	simtime.Analyzer,
 	eventcapture.Analyzer,

@@ -1,7 +1,6 @@
-// Package counters is the laneescape fixture helper: host-side global
-// bookkeeping that device-stack model code must not reach. It sits outside
-// the hot-path packages, so lanesafety's package gate never examines it —
-// only the interprocedural walk can find these sites.
+// Package counters is the sharedstate fixture helper: host-side global
+// bookkeeping that model code must not reach. The fixtures that call it
+// are reported at their call sites, through the interprocedural walk.
 package counters
 
 import "sync"

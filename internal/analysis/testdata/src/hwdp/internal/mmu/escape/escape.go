@@ -1,6 +1,6 @@
-// Package escape is the laneescape analyzer fixture: a device-stack model
-// package (under mmu/) whose functions reach host-global state through
-// helper packages that lanesafety's package gate never examines.
+// Package escape is a sharedstate analyzer fixture: a device-stack model
+// package (under mmu/) whose functions reach host-global state through a
+// helper package.
 package escape
 
 import "hwdp/internal/counters"

@@ -18,7 +18,17 @@ func buildSystem(t *testing.T) *core.System {
 	cfg.FSBlocks = 1 << 16
 	cfg.DeviceJitter = false
 	cfg.Kernel.KptedPeriod = 2 * sim.Millisecond
-	return cfg.Build()
+	return build(t, cfg)
+}
+
+// build assembles a machine, failing the test on an invalid config.
+func build(t *testing.T, cfg core.Config) *core.System {
+	t.Helper()
+	s, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestCleanSystemHasNoViolations(t *testing.T) {

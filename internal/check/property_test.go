@@ -58,7 +58,7 @@ func runConservationSequence(t *testing.T, seed uint64) {
 		{Kind: fault.Drop, Prob: 0.01, MaxInjections: 20},
 		{Kind: fault.UECC, Prob: 0.02, ReadsOnly: true, MaxInjections: 30},
 	}
-	s := cfg.Build()
+	s := build(t, cfg)
 	th := s.WorkloadThread(0)
 	rng := sim.NewRand(seed)
 

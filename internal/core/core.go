@@ -83,9 +83,6 @@ type Config struct {
 	// and the kernel exception path. Off by default; when off, the miss
 	// path performs no tracing work at all.
 	TraceEnabled bool
-	// TraceRing is the flight-recorder depth in misses (0 picks
-	// trace.DefaultRingDepth). Only meaningful with TraceEnabled.
-	TraceRing int
 	// SSDBackend selects the device media model: "" or "profile" keeps
 	// the latency-profile backend (byte-identical to historical runs);
 	// "modeled" swaps in internal/ssd/modeled — a page-mapping FTL with a
@@ -141,17 +138,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Build assembles a machine from the config, panicking on an invalid one
-// (sugar for NewSystem where the config is known good: tests and
-// examples).
-func (c Config) Build() *System {
-	sys, err := NewSystem(c)
-	if err != nil {
-		panic(err)
-	}
-	return sys
-}
-
 // Dur converts raw picoseconds (e.g. histogram percentiles) to sim.Time.
 func Dur(ps int64) sim.Time { return sim.Time(ps) }
 
@@ -202,7 +188,7 @@ func NewSystem(cfg Config) (*System, error) {
 	mm.PrefetchDegree = cfg.PrefetchDegree
 	var tracer *trace.Tracer
 	if cfg.TraceEnabled {
-		tracer = trace.New(cfg.TraceRing)
+		tracer = trace.New()
 		mm.Tracer = tracer
 	}
 	// Keep the free page queue a small fraction of memory (the paper's

@@ -19,8 +19,18 @@ func smallConfig(scheme kernel.Scheme) Config {
 	return cfg
 }
 
+// build assembles a machine, failing the test on an invalid config.
+func build(t *testing.T, cfg Config) *System {
+	t.Helper()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestNewSystemAssembly(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	if s.CPU == nil || s.K == nil || s.SMU == nil {
 		t.Fatal("incomplete assembly")
 	}
@@ -42,16 +52,10 @@ func TestTooFewCoresErrors(t *testing.T) {
 	if sys, err := NewSystem(cfg); err == nil || sys != nil {
 		t.Fatalf("NewSystem: want nil system + error, got %v, %v", sys, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Build: want panic on invalid config")
-		}
-	}()
-	cfg.Build()
 }
 
 func TestWorkloadThreadPinning(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	t0 := s.WorkloadThread(0)
 	t1 := s.WorkloadThread(1)
 	if t0.HW.ID != 0 || t1.HW.ID != 2 {
@@ -64,7 +68,7 @@ func TestWorkloadThreadPinning(t *testing.T) {
 }
 
 func TestMeasureSingleFaultHWDP(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	va, _, err := s.MapFile("f", 16, fs.SeededInit(1), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +89,7 @@ func TestMeasureSingleFaultHWDP(t *testing.T) {
 func TestMeasureSingleFaultAllSchemes(t *testing.T) {
 	var lats []sim.Time
 	for _, scheme := range []kernel.Scheme{kernel.HWDP, kernel.SWDP, kernel.OSDP} {
-		s := smallConfig(scheme).Build()
+		s := build(t, smallConfig(scheme))
 		va, _, err := s.MapFile("f", 16, fs.SeededInit(1), s.FastFlags())
 		if err != nil {
 			t.Fatal(err)
@@ -99,16 +103,16 @@ func TestMeasureSingleFaultAllSchemes(t *testing.T) {
 }
 
 func TestFastFlagsPerScheme(t *testing.T) {
-	if !smallConfig(kernel.HWDP).Build().FastFlags().Fast {
+	if !build(t, smallConfig(kernel.HWDP)).FastFlags().Fast {
 		t.Fatal("HWDP should use fast mmap")
 	}
-	if smallConfig(kernel.OSDP).Build().FastFlags().Fast {
+	if build(t, smallConfig(kernel.OSDP)).FastFlags().Fast {
 		t.Fatal("OSDP must not use fast mmap")
 	}
 }
 
 func TestRunFor(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	s.RunFor(10 * sim.Millisecond)
 	if s.Eng.Now() < 10*sim.Millisecond {
 		t.Fatalf("now = %v", s.Eng.Now())
@@ -118,7 +122,7 @@ func TestRunFor(t *testing.T) {
 func TestEndToEndAccessSequence(t *testing.T) {
 	// A longer mixed run on the default machine keeps all invariants: no
 	// panics, resident pages bounded by physical frames.
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	va, _, err := s.MapFile("db", 4096, fs.SeededInit(3), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)

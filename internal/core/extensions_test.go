@@ -27,7 +27,7 @@ func accessSync(t *testing.T, s *System, th *kernel.Thread, va pagetable.VAddr) 
 func TestSequentialPrefetcher(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PrefetchDegree = 2
-	s := cfg.Build()
+	s := build(t, cfg)
 	va, _, err := s.MapFile("seq", 64, fs.SeededInit(1), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSequentialPrefetcher(t *testing.T) {
 }
 
 func TestPrefetcherDisabledByDefault(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	s := build(t, smallConfig(kernel.HWDP))
 	va, _, _ := s.MapFile("seq", 16, nil, s.FastFlags())
 	th := s.WorkloadThread(0)
 	accessSync(t, s, th, va)
@@ -82,7 +82,7 @@ func TestPrefetcherDisabledByDefault(t *testing.T) {
 func TestPrefetcherStopsAtNonLBAPages(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PrefetchDegree = 4
-	s := cfg.Build()
+	s := build(t, cfg)
 	// Anonymous region: first-touch constant pages must NOT be prefetched
 	// (a speculative zero-fill would allocate frames for pages never
 	// touched).
@@ -100,7 +100,7 @@ func TestPrefetcherStopsAtNonLBAPages(t *testing.T) {
 func TestPerCoreFreeQueues(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PerCoreFreeQueues = true
-	s := cfg.Build()
+	s := build(t, cfg)
 	if got := len(s.SMU.Queues()); got != cfg.Cores*2 {
 		t.Fatalf("queues = %d, want %d", got, cfg.Cores*2)
 	}
@@ -142,7 +142,7 @@ func TestPerCoreFreeQueues(t *testing.T) {
 func TestPerCoreQueuesRefillAll(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PerCoreFreeQueues = true
-	s := cfg.Build()
+	s := build(t, cfg)
 	for i, q := range s.SMU.Queues() {
 		if q.Len()+q.Buffered() == 0 {
 			t.Fatalf("queue %d not primed at start", i)
@@ -153,7 +153,7 @@ func TestPerCoreQueuesRefillAll(t *testing.T) {
 func TestMultiSocketRouting(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.Sockets = 2
-	s := cfg.Build()
+	s := build(t, cfg)
 	if len(s.SMUs) != 2 || len(s.Devs) != 2 || len(s.FSs) != 2 {
 		t.Fatalf("sockets built: %d/%d/%d", len(s.SMUs), len(s.Devs), len(s.FSs))
 	}
@@ -201,7 +201,7 @@ func TestMultiSocketRouting(t *testing.T) {
 func TestMultiSocketKpooldRefillsAll(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.Sockets = 3
-	s := cfg.Build()
+	s := build(t, cfg)
 	for i, u := range s.SMUs {
 		if u.FreeQueue().Len()+u.FreeQueue().Buffered() == 0 {
 			t.Fatalf("socket %d free queue not primed", i)
@@ -235,7 +235,7 @@ func TestLogStructuredFSEndToEnd(t *testing.T) {
 	cfg.MemoryBytes = 128 * 4096
 	cfg.LogStructuredFS = true
 	cfg.Kernel.KptedPeriod = sim.Millisecond
-	s := cfg.Build()
+	s := build(t, cfg)
 	va, f, err := s.MapFile("lfs", 256, fs.SeededInit(1), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)

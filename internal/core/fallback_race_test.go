@@ -30,7 +30,10 @@ func TestFallbackRacesConcurrentRefill(t *testing.T) {
 	cfg.FreeQueueDepth = 8 // clamp floor: one burst of misses drains it
 	cfg.Kernel.KpooldPeriod = 100 * sim.Microsecond
 	cfg.Kernel.KswapdPeriod = 200 * sim.Microsecond
-	sys := cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const (
 		threads = 8

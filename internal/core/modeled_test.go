@@ -60,7 +60,7 @@ func mix(x uint64) uint64 {
 func modeledDigest(t *testing.T) string {
 	t.Helper()
 	cfg := modeledConfig()
-	s := cfg.Build()
+	s := build(t, cfg)
 
 	var eventSum, eventCount uint64
 	s.Eng.SetObserver(func(at sim.Time) {
@@ -140,7 +140,7 @@ func TestModeledSSDDigestPinned(t *testing.T) {
 func TestModeledBackendEndToEnd(t *testing.T) {
 	cfg := modeledConfig()
 	cfg.Sockets = 1
-	s := cfg.Build()
+	s := build(t, cfg)
 	va, _, err := s.MapFileOn(0, "f", 128, fs.SeededInit(7), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (k *Kernel) osFaultPath(th *Thread, as *mmu.AddressSpace, va pagetable.VAdd
 			k.stats.MinorFaults++
 			ms.SetCause(trace.CauseOSMinor)
 			k.kspan(ms, "minor-fault", hw, c.MinorFault, func() {
-				k.mapPTE(as, va, vma, pg)
+				k.finishMap(as, va, vma, pg)
 				done()
 			})
 			return
@@ -150,25 +150,8 @@ func (k *Kernel) osFaultPath(th *Thread, as *mmu.AddressSpace, va pagetable.VAdd
 				if err != nil {
 					panic(err)
 				}
-				ioDone := false
-				ioStatus := nvme.StatusSuccess
-				var onIO func(status uint16)
-				k.submitIORetry(vma.st, hw, nvme.OpRead, blk.LBA, frame, ms, func(status uint16) {
-					ioDone, ioStatus = true, status
-					if onIO != nil {
-						onIO(status)
-					}
-				})
-				// The thread blocks: schedule away while the device works.
-				hw.AccountContextSwitch()
-				k.kspan(ms, "ctx-switch-out", hw, c.CtxSwitchOut, func() {
-					if hwFailed {
-						// Refill the free page queue, overlapped with the
-						// in-flight device I/O (AIOS-style, Section IV-D).
-						k.stats.FaultRefills++
-						k.refillOnFault(hw)
-					}
-				})
+				// The completion runs at interrupt time with the final
+				// status (submitIORetry never calls it synchronously).
 				completion := func(status uint16) {
 					// Interrupt → block-layer completion → wake + schedule
 					// in → metadata + PTE install → return to user.
@@ -215,11 +198,17 @@ func (k *Kernel) osFaultPath(th *Thread, as *mmu.AddressSpace, va pagetable.VAdd
 						})
 					})
 				}
-				if ioDone {
-					completion(ioStatus)
-				} else {
-					onIO = completion
-				}
+				k.submitIORetry(vma.st, hw, nvme.OpRead, blk.LBA, frame, ms, completion)
+				// The thread blocks: schedule away while the device works.
+				hw.AccountContextSwitch()
+				k.kspan(ms, "ctx-switch-out", hw, c.CtxSwitchOut, func() {
+					if hwFailed {
+						// Refill the free page queue, overlapped with the
+						// in-flight device I/O (AIOS-style, Section IV-D).
+						k.stats.FaultRefills++
+						k.refillOnFault(hw)
+					}
+				})
 			})
 		})
 	})
@@ -241,7 +230,7 @@ func (k *Kernel) pageLockWaiter(ms *trace.Miss, hw *cpu.HWThread, as *mmu.Addres
 				return
 			}
 			if pg := k.lookupPage(vma.File, idx); pg != nil {
-				k.mapPTE(as, va, vma, pg)
+				k.finishMap(as, va, vma, pg)
 			}
 			done()
 		})
@@ -273,11 +262,8 @@ func (k *Kernel) sigbus(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr, fr
 	k.mmu.TLB().Invalidate(as.ASID, va.PageNumber())
 }
 
-// mapPTE installs a present PTE for an existing page (minor fault).
-func (k *Kernel) mapPTE(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, pg *Page) {
-	k.finishMap(as, va, vma, pg)
-}
-
+// finishMap installs a present PTE for pg at va and records the final
+// PTE reference in the page's reverse map.
 func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, pg *Page) {
 	_, _, pte := as.Table.Ensure(va.PageBase())
 	pte.Set(pagetable.MakePresent(pg.frame, vma.Prot, true))

@@ -231,6 +231,9 @@ func (k *Kernel) putThrottleReq(r *throttleReq) {
 // even if the flusher cannot keep up.
 const throttleMaxSpins = 512
 
+// throttleSlice is one throttle sleep.
+const throttleSlice = 100 * sim.Microsecond
+
 // throttle parks a write that hit the hard dirty limit: the thread
 // sleeps in backoff slices, kicking the flusher, until the dirty count
 // drops (balance_dirty_pages).
@@ -240,7 +243,7 @@ func (k *Kernel) throttle(th *Thread, va pagetable.VAddr, done func(mmu.Result))
 	r.th, r.va, r.done, r.since = th, va, done, k.eng.Now()
 	k.psi.BeginStall(metrics.StallWritebackThrottle, int64(r.since))
 	k.kickFlusher()
-	k.eng.PostArg(k.throttleSlice(), k.throttleFn, r)
+	k.eng.PostArg(throttleSlice, k.throttleFn, r)
 }
 
 // runThrottle is the pre-bound PostArg callback for one throttle slice.
@@ -249,7 +252,7 @@ func (k *Kernel) runThrottle(a any) {
 	r.spins++
 	if k.dirtyPages >= k.dirtyHardLimit && r.spins < throttleMaxSpins && !r.th.Killed {
 		k.kickFlusher()
-		k.eng.PostArg(k.throttleSlice(), k.throttleFn, r)
+		k.eng.PostArg(throttleSlice, k.throttleFn, r)
 		return
 	}
 	now := k.eng.Now()
@@ -257,13 +260,6 @@ func (k *Kernel) runThrottle(a any) {
 	th, va, done := r.th, r.va, r.done
 	k.putThrottleReq(r)
 	k.accessNow(th, va, true, done)
-}
-
-func (k *Kernel) throttleSlice() sim.Time {
-	if k.cfg.ThrottleBackoff > 0 {
-		return k.cfg.ThrottleBackoff
-	}
-	return 100 * sim.Microsecond
 }
 
 // oomKill selects and kills the live process with the largest resident

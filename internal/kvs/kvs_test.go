@@ -21,7 +21,11 @@ func testSystem(t *testing.T, scheme kernel.Scheme) *core.System {
 	cfg.FSBlocks = 1 << 16
 	cfg.DeviceJitter = false
 	cfg.Kernel.KptedPeriod = 2 * sim.Millisecond
-	return cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func mkStore(t *testing.T, sys *core.System, keys uint64) *Store {

@@ -209,8 +209,8 @@ func (m *Miss) Total() sim.Time {
 	return m.End - m.Start
 }
 
-// DefaultRingDepth is the flight recorder's default capacity in misses.
-const DefaultRingDepth = 64
+// ringDepth is the flight recorder's capacity in misses.
+const ringDepth = 64
 
 // maxPostmortems bounds how many kill dumps a run retains.
 const maxPostmortems = 8
@@ -234,12 +234,9 @@ type Tracer struct {
 	otherH *metrics.Histogram
 }
 
-// New returns a tracer with the given flight-recorder depth (<= 0 picks
-// DefaultRingDepth).
-func New(ringDepth int) *Tracer {
-	if ringDepth <= 0 {
-		ringDepth = DefaultRingDepth
-	}
+// New returns a tracer whose flight recorder keeps the last ringDepth
+// misses.
+func New() *Tracer {
 	t := &Tracer{
 		ring:   make([]*Miss, 0, ringDepth),
 		phaseH: make(map[string]*metrics.Histogram),

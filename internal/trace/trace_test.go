@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // buildFixture populates a tracer with a fixed set of misses.
 func buildFixture() *Tracer {
-	t := New(4)
+	t := New()
 	for i := 0; i < 10; i++ {
 		start := sim.Time(i) * 1000
 		m := t.Begin(i%2, 0x1000*uint64(i+1), CauseHWMiss, start)
@@ -83,23 +84,23 @@ func TestLayerAttribution(t *testing.T) {
 }
 
 func TestFlightRecorderRing(t *testing.T) {
-	tr := New(3)
-	for i := 0; i < 5; i++ {
+	tr := New()
+	for i := 0; i < ringDepth+2; i++ {
 		m := tr.Begin(0, uint64(i), CauseHWMiss, sim.Time(i))
 		m.Finish(sim.Time(i) + 1)
 	}
 	recent := tr.ringSnapshot()
-	if len(recent) != 3 {
-		t.Fatalf("ring size = %d, want 3", len(recent))
+	if len(recent) != ringDepth {
+		t.Fatalf("ring size = %d, want %d", len(recent), ringDepth)
 	}
-	// Oldest first: misses 3, 4, 5 (IDs are 1-based).
+	// Oldest first: misses 3 .. ringDepth+2 (IDs are 1-based).
 	for i, m := range recent {
 		if want := uint64(i + 3); m.ID != want {
 			t.Errorf("ring[%d].ID = %d, want %d", i, m.ID, want)
 		}
 	}
 	dump := tr.FlightDump()
-	if !strings.Contains(dump, "last 3 of 5 traced misses") {
+	if !strings.Contains(dump, fmt.Sprintf("last %d of %d traced misses", ringDepth, ringDepth+2)) {
 		t.Errorf("dump missing header:\n%s", dump)
 	}
 }
@@ -114,8 +115,8 @@ func TestPostmortemSnapshot(t *testing.T) {
 	if pm.At != 99500 || pm.Victim == nil || !pm.Victim.Killed {
 		t.Errorf("bad postmortem: %+v", pm)
 	}
-	if len(pm.Recent) != 4 { // ring depth 4
-		t.Errorf("recent = %d, want 4", len(pm.Recent))
+	if len(pm.Recent) != 10 { // the ten finished misses; the victim is still open
+		t.Errorf("recent = %d, want 10", len(pm.Recent))
 	}
 	if !strings.Contains(pm.String(), "SIGBUS") {
 		t.Errorf("postmortem dump missing reason:\n%s", pm.String())

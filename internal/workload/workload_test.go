@@ -20,7 +20,11 @@ func testSystem(t *testing.T, scheme kernel.Scheme) *core.System {
 	cfg.FreeQueueDepth = 512
 	cfg.DeviceJitter = false
 	cfg.Kernel.KptedPeriod = 2 * sim.Millisecond
-	return cfg.Build()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func TestUniformGen(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // diagnostics. A new wall-clock read, unpaired pool acquire, unit-less
 // sim.Time constant, hot-path capturing closure, non-exhaustive status
 // switch, allocation reachable from a //hwdp:hotpath root, or shared
-// package state reachable from device-stack model code fails this test — the same
+// package state reachable from simulator code fails this test — the same
 // findings `make lint` reports, without needing the vettool binary
 // (suite.RunAll summarizes callgraph facts in-process).
 func TestLintClean(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 func tracedRun(t *testing.T, cfg Config) ([]byte, string) {
 	t.Helper()
 	cfg.Trace = true
-	sys := New(cfg)
+	sys := newSys(t, cfg)
 	if _, err := sys.RunFIO(2, 250, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTraceChromeJSONWellFormed(t *testing.T) {
 // Config.Trace: WriteTrace errors, the report and dump carry a notice,
 // and the tracer accessor is nil.
 func TestTraceDisabledFacade(t *testing.T) {
-	sys := New(det(HWDP))
+	sys := newSys(t, det(HWDP))
 	if _, err := sys.RunFIO(1, 50, 1024); err != nil {
 		t.Fatal(err)
 	}
